@@ -2,7 +2,6 @@ package adnet
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -36,15 +35,28 @@ func DirectSellerID(domain string) string {
 	return "direct:" + domain
 }
 
+// ownerGroupLabels holds the "owner-%03d" label of every owner group,
+// so OwnerGroupOf returns a label without formatting one per call.
+var ownerGroupLabels = func() (labels [ownerGroups]string) {
+	for i := range labels {
+		labels[i] = fmt.Sprintf("owner-%03d", i)
+	}
+	return labels
+}()
+
 // OwnerGroupOf returns the owner-group label for a domain — the
 // "unrelated publisher groups" unit of the pooling detector. Domains
-// hash into a bounded group space; two domains in the same group are
-// considered commonly owned.
+// hash (32-bit FNV-1a of domain + "/owner", inlined so the call does
+// not allocate) into a bounded group space; two domains in the same
+// group are considered commonly owned.
 func OwnerGroupOf(domain string) string {
-	h := fnv.New32a()
-	h.Write([]byte(domain))
-	h.Write([]byte("/owner"))
-	return fmt.Sprintf("owner-%03d", h.Sum32()%ownerGroups)
+	h := uint32(2166136261)
+	for _, s := range [2]string{domain, "/owner"} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint32(s[i])) * 16777619
+		}
+	}
+	return ownerGroupLabels[h%ownerGroups]
 }
 
 // OwnerSellerID returns the seller account of a domain's owner group —

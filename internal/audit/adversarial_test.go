@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"adaudit/internal/adnet"
+	"adaudit/internal/store"
 )
 
 // Unit tests for the three adversarial dimensions, against both a
@@ -34,10 +35,10 @@ func (d fakeDirectory) OwnerGroup(pub string) string {
 
 func TestCadenceCV(t *testing.T) {
 	base := time.Unix(1700000000, 0)
-	at := func(secs ...float64) []time.Time {
-		ts := make([]time.Time, len(secs))
+	at := func(secs ...float64) []int64 {
+		ts := make([]int64, len(secs))
 		for i, s := range secs {
-			ts[i] = base.Add(time.Duration(s * float64(time.Second)))
+			ts[i] = base.Add(time.Duration(s * float64(time.Second))).UnixNano()
 		}
 		return ts
 	}
@@ -163,24 +164,15 @@ func TestPoolingFromReport(t *testing.T) {
 
 // behaviorFixture builds a BehaviorState with one perfect timer bot,
 // one organic heavy user, and one stacked publisher hosting the
-// organic user's impressions.
+// organic user's impressions. The timer is user 0 ("bot"), the
+// stacked publisher pub 1 ("stacked.example").
 func behaviorFixture() BehaviorState {
 	base := time.Unix(1700000000, 0)
-	s := BehaviorState{
-		Times:     map[string][]time.Time{},
-		UserSlots: map[string][]int{},
-		PubSlots:  map[string][]int{},
-		UserConvs: map[string]int{},
-		UserDC:    map[string]bool{},
-	}
+	s := BehaviorState{UserConvs: map[string]int{}}
 	add := func(user, pub string, at time.Time, exposure float64, measured bool, frac float64) {
-		slot := len(s.Exposures)
-		s.Times[user] = append(s.Times[user], at)
-		s.UserSlots[user] = append(s.UserSlots[user], slot)
-		s.PubSlots[pub] = append(s.PubSlots[pub], slot)
-		s.Exposures = append(s.Exposures, exposure)
-		s.VisMeasured = append(s.VisMeasured, measured)
-		s.VisFrac = append(s.VisFrac, frac)
+		s.Add(&store.Impression{UserKey: user, Publisher: pub, Timestamp: at,
+			Exposure: time.Duration(exposure * float64(time.Second)), VisibilityMeasured: measured,
+			MaxVisibleFraction: frac})
 	}
 	for i := 0; i < 6; i++ { // the timer
 		add("bot", "botfarm.example", base.Add(time.Duration(i)*45*time.Second), 2.0, true, 0.35)
@@ -191,6 +183,17 @@ func behaviorFixture() BehaviorState {
 			3.0+float64(i), true, 0.04)
 	}
 	return s
+}
+
+// slotsOf lists the slots whose id (in ids) is id.
+func slotsOf(ids []int32, id int32) []int {
+	var out []int
+	for sl, x := range ids {
+		if x == id {
+			out = append(out, sl)
+		}
+	}
+	return out
 }
 
 func TestBehaviorFromStateBotScoring(t *testing.T) {
@@ -218,14 +221,14 @@ func TestBehaviorFromStateBotScoring(t *testing.T) {
 
 	// Exposure variance acquits too.
 	s = behaviorFixture()
-	s.Exposures[s.UserSlots["bot"][0]] = 2.5
+	s.Exposures[slotsOf(s.UserOf, 0)[0]] = 2.5
 	if got := BehaviorFromState("c", s); len(got.BotUsers) != 0 {
 		t.Fatalf("varying-exposure timer still flagged: %+v", got.BotUsers)
 	}
 
 	// A DC-caught bot keeps the flag but is not counted residential.
 	s = behaviorFixture()
-	s.UserDC["bot"] = true
+	s.UserDC[0] = true
 	got := BehaviorFromState("c", s)
 	if len(got.BotUsers) != 1 || !got.BotUsers[0].DataCenter || got.ResidentialBotUsers != 0 {
 		t.Fatalf("dc bot = %+v residential = %d", got.BotUsers, got.ResidentialBotUsers)
@@ -253,7 +256,7 @@ func TestBehaviorFromStateInflation(t *testing.T) {
 
 	// Raising the fractions above the 1-px band clears the flag.
 	s := behaviorFixture()
-	for _, sl := range s.PubSlots["stacked.example"] {
+	for _, sl := range slotsOf(s.PubOf, 1) {
 		s.VisFrac[sl] = 0.5
 	}
 	// (the "human" user's signature is still non-degenerate: exposures vary)
@@ -264,7 +267,7 @@ func TestBehaviorFromStateInflation(t *testing.T) {
 	// Short exposures (below the viewability threshold) clear it too:
 	// inflation requires looking viewable by time.
 	s = behaviorFixture()
-	for _, sl := range s.PubSlots["stacked.example"] {
+	for _, sl := range slotsOf(s.PubOf, 1) {
 		s.Exposures[sl] = 0.2
 	}
 	if got := BehaviorFromState("c", s); len(got.InflatedPublishers) != 0 {

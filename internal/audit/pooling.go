@@ -1,7 +1,9 @@
 package audit
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"adaudit/internal/adnet"
 )
@@ -52,53 +54,68 @@ func (a *Auditor) Pooling(campaignID string, rep *adnet.VendorReport) PoolingRes
 // PoolingFromReport materializes the pooling detector from a vendor
 // report and a directory — pure, shared verbatim by the batch auditor
 // and the streaming engine. A nil report yields the empty result.
+//
+// The distinct (seller, owner group) and (seller, publisher) pairs are
+// counted by sorting one recycled slice of the attributed rows by
+// seller, group and publisher: each seller's rows are then one run,
+// and within it a new group or a new publisher starts wherever the
+// key changes. A publisher has one owner group, so a publisher never
+// recurs under a second group of the same seller.
 func PoolingFromReport(campaignID string, rep *adnet.VendorReport, dir SellerDirectory, maxGroups int) PoolingResult {
 	res := PoolingResult{CampaignID: campaignID, GroupLimit: maxGroups}
 	if rep == nil {
 		return res
 	}
-	type footprint struct {
-		pubs   map[string]bool
-		groups map[string]bool
-		imps   int64
-	}
-	sellers := map[string]*footprint{}
+	rows := rowScratch.get(len(rep.Rows))
+	defer rowScratch.put(rows)
 	for _, row := range rep.Rows {
 		if row.SellerID == "" || dir.KnownExchange(row.SellerID) {
 			continue
 		}
-		f := sellers[row.SellerID]
-		if f == nil {
-			f = &footprint{pubs: map[string]bool{}, groups: map[string]bool{}}
-			sellers[row.SellerID] = f
-		}
-		f.pubs[row.Publisher] = true
-		f.groups[dir.OwnerGroup(row.Publisher)] = true
-		f.imps += row.Impressions
+		rows = append(rows, sellerRow{row.SellerID, dir.OwnerGroup(row.Publisher), row.Publisher, row.Impressions})
 	}
-	res.SellersChecked = len(sellers)
-	for id, f := range sellers {
-		if len(f.groups) > res.MaxGroupSpan {
-			res.MaxGroupSpan = len(f.groups)
+	slices.SortFunc(rows, func(a, b sellerRow) int {
+		if c := strings.Compare(a.seller, b.seller); c != 0 {
+			return c
 		}
-		if len(f.groups) > maxGroups {
-			res.PooledSellers = append(res.PooledSellers, PooledSeller{
-				SellerID:    id,
-				Publishers:  len(f.pubs),
-				OwnerGroups: len(f.groups),
-				Impressions: f.imps,
-			})
+		if c := strings.Compare(a.group, b.group); c != 0 {
+			return c
+		}
+		return strings.Compare(a.pub, b.pub)
+	})
+	for i := 0; i < len(rows); {
+		f := PooledSeller{SellerID: rows[i].seller}
+		j := i
+		for ; j < len(rows) && rows[j].seller == f.SellerID; j++ {
+			if j == i || rows[j].group != rows[j-1].group {
+				f.OwnerGroups++
+				f.Publishers++
+			} else if rows[j].pub != rows[j-1].pub {
+				f.Publishers++
+			}
+			f.Impressions += rows[j].imps
+		}
+		i = j
+		res.SellersChecked++
+		res.MaxGroupSpan = max(res.MaxGroupSpan, f.OwnerGroups)
+		if f.OwnerGroups > maxGroups {
+			res.PooledSellers = append(res.PooledSellers, f)
 		}
 	}
-	sort.Slice(res.PooledSellers, func(i, j int) bool {
-		a, b := res.PooledSellers[i], res.PooledSellers[j]
+	slices.SortFunc(res.PooledSellers, func(a, b PooledSeller) int {
 		if a.OwnerGroups != b.OwnerGroups {
-			return a.OwnerGroups > b.OwnerGroups
+			return cmp.Compare(b.OwnerGroups, a.OwnerGroups)
 		}
 		if a.Impressions != b.Impressions {
-			return a.Impressions > b.Impressions
+			return cmp.Compare(b.Impressions, a.Impressions)
 		}
-		return a.SellerID < b.SellerID
+		return strings.Compare(a.SellerID, b.SellerID)
 	})
 	return res
+}
+
+// sellerRow is one attributed, non-exchange report row.
+type sellerRow struct {
+	seller, group, pub string
+	imps               int64
 }

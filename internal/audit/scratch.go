@@ -2,29 +2,32 @@ package audit
 
 import "sync"
 
-// floatPool recycles the float64 sample buffers the per-campaign
-// analyses fill and fold (exposure summaries). FullAudit fans
+// scratchPool recycles the buffers the per-campaign analyses fill and
+// fold (exposure samples, attributed report rows). FullAudit fans
 // dimensions out across a worker pool, so a sync.Pool gives each
 // worker its own warm buffer without any coordination; at paper scale
-// this removes one multi-hundred-KiB allocation per viewability task.
-var floatPool = sync.Pool{
-	New: func() any { return new([]float64) },
-}
+// this removes one multi-hundred-KiB allocation per task.
+type scratchPool[T any] struct{ pool sync.Pool }
 
-// floatScratch returns an empty float64 buffer with at least the given
-// capacity, drawn from the pool. Return it with putFloatScratch once
-// every value derived from it has been copied out.
-func floatScratch(capacity int) []float64 {
-	buf := *(floatPool.Get().(*[]float64))
-	if cap(buf) < capacity {
-		buf = make([]float64, 0, capacity)
+var (
+	floatScratch scratchPool[float64]
+	rowScratch   scratchPool[sellerRow]
+)
+
+// get returns an empty buffer with at least the given capacity. Return
+// it with put once every value derived from it has been copied out.
+func (p *scratchPool[T]) get(capacity int) []T {
+	if buf, ok := p.pool.Get().(*[]T); ok && cap(*buf) >= capacity {
+		return (*buf)[:0]
 	}
-	return buf[:0]
+	return make([]T, 0, capacity)
 }
 
-// putFloatScratch recycles a buffer obtained from floatScratch. The
-// boxed header costs one word-sized allocation, traded for the
-// buffer's backing array.
-func putFloatScratch(buf []float64) {
-	floatPool.Put(&buf)
+// put zeroes buf's whole backing array, so the pool keeps no
+// references alive, and recycles it. The boxed header costs one
+// word-sized allocation, traded for the backing array.
+func (p *scratchPool[T]) put(buf []T) {
+	buf = buf[:cap(buf)]
+	clear(buf)
+	p.pool.Put(&buf)
 }

@@ -100,5 +100,8 @@ func (c *Client) fetchOne(ctx context.Context, base string) (*streamaudit.Export
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxExportBytes)).Decode(&exp); err != nil {
 		return nil, fmt.Errorf("decoding export: %w", err)
 	}
+	if err := exp.Validate(); err != nil {
+		return nil, err
+	}
 	return &exp, nil
 }

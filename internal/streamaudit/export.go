@@ -2,7 +2,7 @@ package streamaudit
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 	"time"
 
 	"adaudit/internal/adnet"
@@ -18,14 +18,20 @@ import (
 // is deep-equal to a single-store FullAudit over the union of the
 // shards' data.
 //
-// Slot-indexed slices (Exposures, VisMeasured, VisFrac, and the slot
-// lists in UserSlots/PubSlots) are in store insertion order, exactly as
-// the engine maintains them; merging concatenates them in shard order
-// so even order-sensitive float summation (stats.Summarize's mean) is
-// bit-stable. Every float in the export round-trips JSON exactly
-// (encoding/json emits the shortest representation that parses back to
-// the same float64), so a report materialised from a decoded Export is
-// byte-identical to one materialised in-process.
+// Each campaign carries its behavioral layout (audit.BehaviorState):
+// slot-indexed slices in store insertion order, exactly as the engine
+// maintains them; merging concatenates them in shard order so even
+// order-sensitive float summation (stats.Summarize's mean) is
+// bit-stable. UserOf and PubOf index the campaign's Users and Pubs
+// dictionaries, which are local to the export: a merge remaps them
+// through the merged dictionaries. The Figure 3 frequency groups are
+// not shipped: NewStatic rebuilds them from each campaign's slot
+// timestamps and user ids, and the aggregate Figure 1 publisher set
+// from the campaigns' publisher dictionaries. Every float in the
+// export round-trips JSON exactly (encoding/json emits the shortest
+// representation that parses back to the same float64), so a report
+// materialised from a decoded Export is byte-identical to one
+// materialised in-process.
 type Export struct {
 	// Seq is the feed sequence the exporting engine had applied. A
 	// merged export sums shard Seqs — a monotone progress indicator,
@@ -34,28 +40,13 @@ type Export struct {
 	// Campaigns holds one entry per campaign the engine observed
 	// (impressions or conversions).
 	Campaigns map[string]*CampaignExport `json:"campaigns"`
-	// AllPubs is the cross-campaign publisher set (sorted) backing the
-	// aggregate Figure 1 Venn.
-	AllPubs []string `json:"all_pubs"`
-	// Freq is the per-(campaign, user) impression-timestamp groups for
-	// the Figure 3 frequency analysis, sorted by (campaign, user);
-	// times within a group are in insertion order.
-	Freq []FreqGroup `json:"freq"`
-}
-
-// FreqGroup is one (campaign, user) timestamp group.
-type FreqGroup struct {
-	CampaignID string      `json:"campaign_id"`
-	UserKey    string      `json:"user_key"`
-	Times      []time.Time `json:"times"`
 }
 
 // CampaignExport mirrors the engine's per-campaign aggregate state
-// field for field (see state.go's campaignState for the semantics of
-// each).
+// field for field (see state.go's campaignState and
+// audit.BehaviorState for the semantics of each).
 type CampaignExport struct {
 	PubImps     map[string]int `json:"pub_imps,omitempty"`
-	Users       []string       `json:"users,omitempty"`
 	Clicks      int            `json:"clicks,omitempty"`
 	Conversions int            `json:"conversions,omitempty"`
 	FirstSeen   time.Time      `json:"first_seen"`
@@ -64,10 +55,9 @@ type CampaignExport struct {
 	ImpRanks    []int `json:"imp_ranks,omitempty"`
 	UnknownMeta int   `json:"unknown_meta,omitempty"`
 
-	Exposures   []float64 `json:"exposures,omitempty"`
-	ViewableUB  int       `json:"viewable_ub,omitempty"`
-	Measured    int       `json:"measured,omitempty"`
-	MRCViewable int       `json:"mrc_viewable,omitempty"`
+	ViewableUB  int `json:"viewable_ub,omitempty"`
+	Measured    int `json:"measured,omitempty"`
+	MRCViewable int `json:"mrc_viewable,omitempty"`
 
 	DCImps    int             `json:"dc_imps,omitempty"`
 	ByVerdict map[string]int  `json:"by_verdict,omitempty"`
@@ -75,12 +65,43 @@ type CampaignExport struct {
 	PubSeen   map[string]bool `json:"pub_seen,omitempty"`
 	DCPerPub  map[string]int  `json:"dc_per_pub,omitempty"`
 
-	VisMeasured []bool           `json:"vis_measured,omitempty"`
-	VisFrac     []float64        `json:"vis_frac,omitempty"`
-	UserSlots   map[string][]int `json:"user_slots,omitempty"`
-	PubSlots    map[string][]int `json:"pub_slots,omitempty"`
-	UserConvs   map[string]int   `json:"user_convs,omitempty"`
-	UserDC      map[string]bool  `json:"user_dc,omitempty"`
+	// The behavioral layout (dictionaries, slot-indexed fields, DC
+	// flags and conversions), its fields inlined in the JSON object.
+	audit.BehaviorState
+}
+
+// Validate checks what importing or merging an export relies on: no
+// null campaign entry, every campaign's slot-indexed slices of one
+// length, every dictionary id in range, and UserDC aligned with Users.
+// A malformed export (a corrupt shard, or one from a build with another
+// export format) fails here rather than panicking a report.
+func (exp *Export) Validate() error {
+	for id, ce := range exp.Campaigns {
+		if ce == nil {
+			return fmt.Errorf("streamaudit: export campaign %q is null", id)
+		}
+		n := len(ce.Exposures)
+		if len(ce.VisMeasured) != n || len(ce.VisFrac) != n || len(ce.UserOf) != n || len(ce.PubOf) != n || len(ce.Times) != n {
+			return fmt.Errorf("streamaudit: export campaign %q: slot-indexed lengths differ (exposures %d, vis_measured %d, vis_frac %d, user_of %d, pub_of %d, times %d)",
+				id, n, len(ce.VisMeasured), len(ce.VisFrac), len(ce.UserOf), len(ce.PubOf), len(ce.Times))
+		}
+		if len(ce.UserDC) != len(ce.Users) {
+			return fmt.Errorf("streamaudit: export campaign %q: %d user_dc flags for %d users", id, len(ce.UserDC), len(ce.Users))
+		}
+		if !idsInRange(ce.UserOf, len(ce.Users)) || !idsInRange(ce.PubOf, len(ce.Pubs)) {
+			return fmt.Errorf("streamaudit: export campaign %q: dictionary id out of range", id)
+		}
+	}
+	return nil
+}
+
+func idsInRange(ids []int32, n int) bool {
+	for _, id := range ids {
+		if id < 0 || int(id) >= n {
+			return false
+		}
+	}
+	return true
 }
 
 // Export deep-copies the engine's state into a Export. Safe for
@@ -92,53 +113,31 @@ func (e *Engine) Export() *Export {
 	out := &Export{
 		Seq:       e.appliedSeq.Load(),
 		Campaigns: make(map[string]*CampaignExport, len(e.st.campaigns)),
-		AllPubs:   sortedKeys(e.st.allPubs),
 	}
 	for id, cs := range e.st.campaigns {
 		out.Campaigns[id] = exportCampaign(cs)
 	}
-	out.Freq = make([]FreqGroup, 0, len(e.st.freq))
-	for k, ts := range e.st.freq {
-		out.Freq = append(out.Freq, FreqGroup{
-			CampaignID: k.CampaignID,
-			UserKey:    k.UserKey,
-			Times:      append([]time.Time(nil), ts...),
-		})
-	}
-	sort.Slice(out.Freq, func(a, b int) bool {
-		if out.Freq[a].CampaignID != out.Freq[b].CampaignID {
-			return out.Freq[a].CampaignID < out.Freq[b].CampaignID
-		}
-		return out.Freq[a].UserKey < out.Freq[b].UserKey
-	})
 	return out
 }
 
 func exportCampaign(cs *campaignState) *CampaignExport {
 	return &CampaignExport{
-		PubImps:     copyMap(cs.pubImps),
-		Users:       sortedKeys(cs.users),
-		Clicks:      cs.clicks,
-		Conversions: cs.conversions,
-		FirstSeen:   cs.firstSeen,
-		LastSeen:    cs.lastSeen,
-		ImpRanks:    append([]int(nil), cs.impRanks...),
-		UnknownMeta: cs.unknownMeta,
-		Exposures:   append([]float64(nil), cs.exposures...),
-		ViewableUB:  cs.viewableUB,
-		Measured:    cs.measured,
-		MRCViewable: cs.mrcViewable,
-		DCImps:      cs.dcImps,
-		ByVerdict:   copyMap(cs.byVerdict),
-		IPSeen:      copyMap(cs.ipSeen),
-		PubSeen:     copyMap(cs.pubSeen),
-		DCPerPub:    copyMap(cs.dcPerPub),
-		VisMeasured: append([]bool(nil), cs.visMeasured...),
-		VisFrac:     append([]float64(nil), cs.visFrac...),
-		UserSlots:   copySlotMap(cs.userSlots),
-		PubSlots:    copySlotMap(cs.pubSlots),
-		UserConvs:   copyMap(cs.userConvs),
-		UserDC:      copyMap(cs.userDC),
+		PubImps:       maps.Clone(cs.pubImps),
+		Clicks:        cs.clicks,
+		Conversions:   cs.conversions,
+		FirstSeen:     cs.firstSeen,
+		LastSeen:      cs.lastSeen,
+		ImpRanks:      append([]int(nil), cs.impRanks...),
+		UnknownMeta:   cs.unknownMeta,
+		ViewableUB:    cs.viewableUB,
+		Measured:      cs.measured,
+		MRCViewable:   cs.mrcViewable,
+		DCImps:        cs.dcImps,
+		ByVerdict:     maps.Clone(cs.byVerdict),
+		IPSeen:        maps.Clone(cs.ipSeen),
+		PubSeen:       maps.Clone(cs.pubSeen),
+		DCPerPub:      maps.Clone(cs.dcPerPub),
+		BehaviorState: cs.beh.Clone(),
 	}
 }
 
@@ -160,7 +159,8 @@ type StaticConfig struct {
 // merged) Export: Report, Summaries, LiveSummary and Audit work exactly
 // as on a live engine, but there is no store and no change feed — the
 // state is frozen at the export's cut. Drain, Run, CaughtUp and
-// Staleness report the engine as permanently caught up.
+// Staleness report the engine as permanently caught up. An export that
+// fails Validate is rejected with an error.
 func NewStatic(cfg StaticConfig, exp *Export) (*Engine, error) {
 	if exp == nil {
 		return nil, fmt.Errorf("streamaudit: static engine requires an export")
@@ -176,6 +176,10 @@ func NewStatic(cfg StaticConfig, exp *Export) (*Engine, error) {
 	if sellers == nil {
 		sellers = adnet.SellerRegistry{}
 	}
+	st, err := importState(exp)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		meta:      cfg.Meta,
 		matcher:   m,
@@ -184,7 +188,7 @@ func NewStatic(cfg StaticConfig, exp *Export) (*Engine, error) {
 		sellers:   sellers,
 		metaMemo:  map[string]metaEntry{},
 		listeners: map[*Updates]struct{}{},
-		st:        importState(exp),
+		st:        st,
 	}
 	e.tel.init(nil, e)
 	e.appliedSeq.Store(exp.Seq)
@@ -193,89 +197,40 @@ func NewStatic(cfg StaticConfig, exp *Export) (*Engine, error) {
 
 // importState reconstructs the engine's internal state from an export.
 // recs stays empty: a static engine never applies merges.
-func importState(exp *Export) *state {
+func importState(exp *Export) (*state, error) {
+	if err := exp.Validate(); err != nil {
+		return nil, err
+	}
 	st := newState()
-	for _, p := range exp.AllPubs {
-		st.allPubs[p] = struct{}{}
-	}
-	for _, g := range exp.Freq {
-		k := audit.FrequencyKey{CampaignID: g.CampaignID, UserKey: g.UserKey}
-		st.freq[k] = append([]time.Time(nil), g.Times...)
-	}
 	for id, ce := range exp.Campaigns {
 		cs := st.campaign(id)
-		for p, n := range ce.PubImps {
-			cs.pubImps[p] = n
-		}
-		for _, u := range ce.Users {
-			cs.users[u] = struct{}{}
-		}
+		maps.Copy(cs.pubImps, ce.PubImps)
 		cs.clicks = ce.Clicks
 		cs.conversions = ce.Conversions
 		cs.firstSeen = ce.FirstSeen
 		cs.lastSeen = ce.LastSeen
 		cs.impRanks = append([]int(nil), ce.ImpRanks...)
 		cs.unknownMeta = ce.UnknownMeta
-		cs.exposures = append([]float64(nil), ce.Exposures...)
 		cs.viewableUB = ce.ViewableUB
 		cs.measured = ce.Measured
 		cs.mrcViewable = ce.MRCViewable
 		cs.dcImps = ce.DCImps
-		fillMap(cs.byVerdict, ce.ByVerdict)
-		fillMap(cs.ipSeen, ce.IPSeen)
-		fillMap(cs.pubSeen, ce.PubSeen)
-		fillMap(cs.dcPerPub, ce.DCPerPub)
-		cs.visMeasured = append([]bool(nil), ce.VisMeasured...)
-		cs.visFrac = append([]float64(nil), ce.VisFrac...)
-		for u, slots := range ce.UserSlots {
-			cs.userSlots[u] = append([]int(nil), slots...)
+		maps.Copy(cs.byVerdict, ce.ByVerdict)
+		maps.Copy(cs.ipSeen, ce.IPSeen)
+		maps.Copy(cs.pubSeen, ce.PubSeen)
+		maps.Copy(cs.dcPerPub, ce.DCPerPub)
+		cs.beh = ce.BehaviorState.Clone()
+		for _, p := range cs.beh.Pubs {
+			st.allPubs[p] = struct{}{}
 		}
-		for p, slots := range ce.PubSlots {
-			cs.pubSlots[p] = append([]int(nil), slots...)
+		for sl, u := range cs.beh.UserOf {
+			k := audit.FrequencyKey{CampaignID: id, UserKey: cs.beh.Users[u]}
+			st.freq[k] = append(st.freq[k], time.Unix(0, cs.beh.Times[sl]))
 		}
-		fillMap(cs.userConvs, ce.UserConvs)
-		fillMap(cs.userDC, ce.UserDC)
 	}
-	return st
+	return st, nil
 }
 
 // Static reports whether the engine was built by NewStatic (no store,
 // no feed).
 func (e *Engine) Static() bool { return e.store == nil }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func copyMap[V int | bool | string](m map[string]V) map[string]V {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copySlotMap(m map[string][]int) map[string][]int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string][]int, len(m))
-	for k, v := range m {
-		out[k] = append([]int(nil), v...)
-	}
-	return out
-}
-
-func fillMap[V any](dst, src map[string]V) {
-	for k, v := range src {
-		dst[k] = v
-	}
-}

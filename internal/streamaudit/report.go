@@ -115,43 +115,26 @@ func (e *Engine) campaignAuditLocked(in audit.CampaignInput) (audit.CampaignAudi
 	// matches the batch scan.
 	ca.Viewability = audit.ViewabilityResult{
 		CampaignID:          in.ID,
-		Impressions:         len(cs.exposures),
+		Impressions:         len(cs.beh.Exposures),
 		ViewableUB:          cs.viewableUB,
 		MeasuredImpressions: cs.measured,
 		MRCViewable:         cs.mrcViewable,
-		ExposureSummary:     stats.Summarize(cs.exposures),
+		ExposureSummary:     stats.Summarize(cs.beh.Exposures),
 	}
 
 	// Fraud: the engine maintains exactly the maps the batch fold
 	// builds; the shared materializer does the rest (and copies, so
 	// the result never aliases live state).
-	ca.Fraud = audit.FraudFromState(in.ID, len(cs.exposures), cs.dcImps,
+	ca.Fraud = audit.FraudFromState(in.ID, len(cs.beh.Exposures), cs.dcImps,
 		cs.byVerdict, cs.ipSeen, cs.pubSeen, cs.dcPerPub)
 
 	// Adversarial dimensions. Sellers and pooling are pure functions of
 	// the vendor report and the directory, shared verbatim with the
-	// batch path. Behavior folds the slot-indexed state; per-user
-	// timestamps come from the frequency groups (the fold only sorts
-	// the slices in place, exactly as FrequencyFromTimes does, so
-	// aliasing the live slices is safe).
+	// batch path. Behavior folds the slot-indexed state as is: the fold
+	// only reads it.
 	ca.Sellers = audit.SellerAuditFromReport(in.ID, in.Report, e.sellers)
 	ca.Pooling = audit.PoolingFromReport(in.ID, in.Report, e.sellers, audit.DefaultMaxGroupSpan)
-	times := make(map[string][]time.Time, len(cs.userSlots))
-	for k, ts := range e.st.freq {
-		if k.CampaignID == in.ID {
-			times[k.UserKey] = ts
-		}
-	}
-	ca.Behavior = audit.BehaviorFromState(in.ID, audit.BehaviorState{
-		Times:       times,
-		UserSlots:   cs.userSlots,
-		PubSlots:    cs.pubSlots,
-		Exposures:   cs.exposures,
-		VisMeasured: cs.visMeasured,
-		VisFrac:     cs.visFrac,
-		UserConvs:   cs.userConvs,
-		UserDC:      cs.userDC,
-	})
+	ca.Behavior = audit.BehaviorFromState(in.ID, cs.beh)
 	return ca, nil
 }
 
@@ -215,15 +198,15 @@ func (e *Engine) liveSummaryLocked(id string) CampaignLive {
 	sum := CampaignLive{
 		CampaignID:  id,
 		Seq:         e.appliedSeq.Load(),
-		Impressions: len(cs.exposures),
+		Impressions: len(cs.beh.Exposures),
 		Publishers:  len(cs.pubImps),
-		Users:       len(cs.users),
+		Users:       len(cs.beh.Users),
 		Clicks:      cs.clicks,
 		Conversions: cs.conversions,
 		FirstSeen:   cs.firstSeen,
 		LastSeen:    cs.lastSeen,
 	}
-	if n := len(cs.exposures); n > 0 {
+	if n := len(cs.beh.Exposures); n > 0 {
 		sum.ViewableUpperBound = float64(cs.viewableUB) / float64(n)
 		sum.DataCenterShare = float64(cs.dcImps) / float64(n)
 		sum.ContextShare = e.contextShareLocked(id, cs)

@@ -39,9 +39,8 @@ type campaignState struct {
 	// audited set (its keys), the context match denominators, and the
 	// live top-publisher view.
 	pubImps map[string]int
-	// users, clicks, firstSeen/lastSeen and conversions back the live
-	// summary view.
-	users       map[string]struct{}
+	// clicks, firstSeen/lastSeen and conversions back the live summary
+	// view, as does beh.Users, the campaign's user dictionary.
 	clicks      int
 	conversions int
 	firstSeen   time.Time
@@ -53,11 +52,10 @@ type campaignState struct {
 	impRanks    []int
 	unknownMeta int
 
-	// Viewability: per-impression exposure seconds in insertion order
-	// (slot-indexed so merges overwrite in place; insertion order
-	// keeps even float summation identical to the batch path) and the
-	// derived counters.
-	exposures   []float64
+	// Viewability: the counters derived from the per-impression
+	// exposure seconds, which live in beh.Exposures (slot-indexed so
+	// merges overwrite in place; insertion order keeps even float
+	// summation identical to the batch path).
 	viewableUB  int
 	measured    int
 	mrcViewable int
@@ -69,17 +67,9 @@ type campaignState struct {
 	pubSeen   map[string]bool
 	dcPerPub  map[string]int
 
-	// Behavior: the slot-indexed mutable visibility signals (aligned
-	// with exposures so merges overwrite in place), per-user and
-	// per-publisher slot lists in insertion order, per-user conversion
-	// counts, and the users the DC cascade caught — together the
-	// audit.BehaviorState the shared behavioral fold consumes.
-	visMeasured []bool
-	visFrac     []float64
-	userSlots   map[string][]int
-	pubSlots    map[string][]int
-	userConvs   map[string]int
-	userDC      map[string]bool
+	// Behavior: the slot-indexed layout the batch auditor and the
+	// shard export share, read by the shared behavioral fold as is.
+	beh audit.BehaviorState
 }
 
 func newState() *state {
@@ -97,15 +87,11 @@ func (s *state) campaign(id string) *campaignState {
 	if cs == nil {
 		cs = &campaignState{
 			pubImps:   map[string]int{},
-			users:     map[string]struct{}{},
 			byVerdict: map[string]int{},
 			ipSeen:    map[string]bool{},
 			pubSeen:   map[string]bool{},
 			dcPerPub:  map[string]int{},
-			userSlots: map[string][]int{},
-			pubSlots:  map[string][]int{},
-			userConvs: map[string]int{},
-			userDC:    map[string]bool{},
+			beh:       audit.BehaviorState{UserConvs: map[string]int{}},
 		}
 		s.campaigns[id] = cs
 	}
@@ -122,7 +108,6 @@ func (s *state) applyInsert(e *Engine, im *store.Impression) {
 	// Publisher/user/summary state (brand safety + context + live).
 	cs.pubImps[im.Publisher]++
 	s.allPubs[im.Publisher] = struct{}{}
-	cs.users[im.UserKey] = struct{}{}
 	cs.clicks += im.Clicks
 	if cs.firstSeen.IsZero() || im.Timestamp.Before(cs.firstSeen) {
 		cs.firstSeen = im.Timestamp
@@ -141,9 +126,7 @@ func (s *state) applyInsert(e *Engine, im *store.Impression) {
 	done(dimPopularity)
 
 	// Viewability.
-	slot := len(cs.exposures)
-	s.recs[im.ID] = recRef{cs: cs, slot: slot}
-	cs.exposures = append(cs.exposures, im.Exposure.Seconds())
+	s.recs[im.ID] = recRef{cs: cs, slot: len(cs.beh.Exposures)}
 	if im.Exposure >= audit.ViewabilityThreshold {
 		cs.viewableUB++
 	}
@@ -166,15 +149,8 @@ func (s *state) applyInsert(e *Engine, im *store.Impression) {
 	cs.pubSeen[im.Publisher] = cs.pubSeen[im.Publisher] || isDC
 	done(dimFraud)
 
-	// Behavior: slot-aligned visibility signals plus the identity slot
-	// lists the behavioral fold groups by.
-	cs.visMeasured = append(cs.visMeasured, im.VisibilityMeasured)
-	cs.visFrac = append(cs.visFrac, im.MaxVisibleFraction)
-	cs.userSlots[im.UserKey] = append(cs.userSlots[im.UserKey], slot)
-	cs.pubSlots[im.Publisher] = append(cs.pubSlots[im.Publisher], slot)
-	if isDC {
-		cs.userDC[im.UserKey] = true
-	}
+	// Behavior (and the viewability samples): the impression's slot.
+	cs.beh.Add(im)
 	done(dimBehavior)
 
 	// Frequency.
@@ -198,7 +174,7 @@ func (s *state) applyMerge(e *Engine, ev *store.FeedEvent) error {
 	cs := ref.cs
 	prev, now := &ev.Prev, &ev.Im
 
-	cs.exposures[ref.slot] = now.Exposure.Seconds()
+	cs.beh.Exposures[ref.slot] = now.Exposure.Seconds()
 	cs.viewableUB += b2i(now.Exposure >= audit.ViewabilityThreshold) -
 		b2i(prev.Exposure >= audit.ViewabilityThreshold)
 	cs.measured += b2i(now.VisibilityMeasured) - b2i(prev.VisibilityMeasured)
@@ -206,8 +182,8 @@ func (s *state) applyMerge(e *Engine, ev *store.FeedEvent) error {
 		b2i(mrcViewable(prev.VisibilityMeasured, prev.Exposure, prev.MaxVisibleFraction))
 	done(dimViewability)
 
-	cs.visMeasured[ref.slot] = now.VisibilityMeasured
-	cs.visFrac[ref.slot] = now.MaxVisibleFraction
+	cs.beh.VisMeasured[ref.slot] = now.VisibilityMeasured
+	cs.beh.VisFrac[ref.slot] = now.MaxVisibleFraction
 	done(dimBehavior)
 
 	cs.clicks += now.Clicks - prev.Clicks
@@ -220,7 +196,7 @@ func (s *state) applyMerge(e *Engine, ev *store.FeedEvent) error {
 func (s *state) applyConversion(c *store.Conversion) {
 	cs := s.campaign(c.CampaignID)
 	cs.conversions++
-	cs.userConvs[c.UserKey]++
+	cs.beh.UserConvs[c.UserKey]++
 }
 
 func mrcViewable(measured bool, exp time.Duration, maxVis float64) bool {

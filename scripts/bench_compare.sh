@@ -4,7 +4,8 @@
 # Table 2 context benchmark, summarises them benchstat-style (mean over
 # -count runs) into BENCH_audit.json, and fails if allocs/op of
 # BenchmarkTable2Context regressed more than 10% against the committed
-# baseline. Plain POSIX sh + awk — no benchstat dependency.
+# baseline, or if FullAudit's allocs/op or B/op exceed their absolute
+# gates. Plain POSIX sh + awk — no benchstat dependency.
 #
 # Also runs the streaming-audit apply benchmark
 # (internal/streamaudit.BenchmarkStreamApply) and summarises it into
@@ -139,6 +140,30 @@ if [ -n "$baseline_allocs" ]; then
 else
     echo "==> no committed baseline; $JSON is the new baseline"
 fi
+
+# Absolute FullAudit gates: allocs/op and B/op of the serial and the
+# parallel report may not exceed these bounds, set at about 1.09x the
+# values measured once the behavioral and pooling folds stopped
+# allocating per user and per report row (serial 3,814 allocs/op and
+# 50.7 MB/op, parallel 3,845 and 50.9 MB/op, -count 3 on a 2-vCPU
+# Xeon; the adversarial detectors had pushed both to ~361k allocs/op
+# and ~95 MB/op unnoticed). Columns: benchmark, max allocs/op, max B/op.
+FULLAUDIT_GATES='BenchmarkFullAuditSerial 4150 55000000
+BenchmarkFullAuditParallel 4200 55500000'
+echo "$FULLAUDIT_GATES" | while read -r bench max_allocs max_bytes; do
+    line=$(grep "\"name\": \"$bench\"" "$JSON" || true)
+    allocs=$(echo "$line" | sed -n 's/.*"allocs_per_op": \([0-9][0-9]*\).*/\1/p')
+    bytes=$(echo "$line" | sed -n 's/.*"bytes_per_op": \([0-9][0-9]*\).*/\1/p')
+    if [ -z "$allocs" ] || [ -z "$bytes" ]; then
+        echo "bench_compare: $bench missing from results" >&2
+        exit 1
+    fi
+    echo "==> $bench: $allocs allocs/op (gate $max_allocs), $bytes B/op (gate $max_bytes)"
+    if [ "$allocs" -gt "$max_allocs" ] || [ "$bytes" -gt "$max_bytes" ]; then
+        echo "bench_compare: $bench over its allocation gate" >&2
+        exit 1
+    fi
+done || exit 1
 
 # Streaming-audit apply throughput: mean per-delta cost of the
 # incremental engine, and the deltas/sec it implies.

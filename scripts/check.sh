@@ -132,7 +132,8 @@ if [ "${1:-}" = "-fuzz-smoke" ]; then
         "FuzzWireEquivalence ./internal/beacon/" \
         "FuzzRecoverWAL ./internal/store/" \
         "FuzzReadSnapshot ./internal/store/" \
-        "FuzzQueryAPI ./internal/collector/"; do
+        "FuzzQueryAPI ./internal/collector/" \
+        "FuzzMergeExport ./internal/shardmerge/"; do
         set -- $target
         echo "==> go test -fuzz $1 -fuzztime 30s $2"
         go test -run '^$' -fuzz "$1\$" -fuzztime 30s "$2"
