@@ -171,9 +171,12 @@ func (a *Auditor) runTask(t task) error {
 // runTasks drains the task list with a bounded worker pool. Workers
 // claim tasks off a shared atomic counter (no channel churn, cache-
 // friendly in-order claiming); the first error parks the pool —
-// every worker re-checks the cancel flag before claiming — and is the
-// one returned. workers <= 1 degenerates to an inline loop with no
-// goroutines, the serial path.
+// every worker re-checks the cancel flag before claiming. The error
+// returned is the lowest-indexed failing task's: every task before a
+// failing one was already claimed and runs to completion, so this is
+// the error the serial path returns, whatever the interleaving.
+// workers <= 1 degenerates to an inline loop with no goroutines, the
+// serial path.
 func (a *Auditor) runTasks(tasks []task, workers int) error {
 	if workers > len(tasks) {
 		workers = len(tasks)
@@ -190,7 +193,8 @@ func (a *Auditor) runTasks(tasks []task, workers int) error {
 	var (
 		next      atomic.Int64
 		cancelled atomic.Bool
-		errOnce   sync.Once
+		errMu     sync.Mutex
+		errIdx    = len(tasks)
 		firstErr  error
 		wg        sync.WaitGroup
 	)
@@ -207,10 +211,12 @@ func (a *Auditor) runTasks(tasks []task, workers int) error {
 					return
 				}
 				if err := a.runTask(tasks[i]); err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancelled.Store(true)
-					})
+					errMu.Lock()
+					if i < errIdx {
+						errIdx, firstErr = i, err
+					}
+					errMu.Unlock()
+					cancelled.Store(true)
 					return
 				}
 			}

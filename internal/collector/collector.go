@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/gen2"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/simclock"
 	"adaudit/internal/store"
@@ -228,7 +229,7 @@ type Collector struct {
 	// icache holds the bounded ingest caches (interned wire strings,
 	// URL → publisher, address → enrichment, user keys) that make
 	// steady-state ingest allocation-free.
-	icache ingestCache
+	icache *ingestCache
 
 	// Nonce dedup: impression nonce → store record ID, so a beacon that
 	// reconnects mid-exposure merges into its original record instead of
@@ -236,9 +237,8 @@ type Collector struct {
 	// current map fills, it becomes the previous one and lookups consult
 	// both — a nonce is forgotten only after a full generation of other
 	// traffic, far longer than any retry window.
-	nonceMu   sync.Mutex
-	nonceCur  map[string]int64
-	noncePrev map[string]int64
+	nonceMu sync.Mutex
+	nonces  gen2.Map[string, int64]
 	// nonceInflight marks nonces whose first insert has been claimed
 	// but has not yet committed — the claim/wait handshake that makes
 	// lookup-miss → insert → record atomic against a concurrent replay
@@ -254,9 +254,8 @@ type Collector struct {
 	// two-generation bound as the nonce cache. Across a collector
 	// restart this cache starts empty and the nonce path catches the
 	// replay instead.
-	streamMu   sync.Mutex
-	streamCur  map[string]struct{}
-	streamPrev map[string]struct{}
+	streamMu sync.Mutex
+	streams  gen2.Map[string, struct{}]
 }
 
 // nonceCacheLimit is the per-generation nonce map size; two generations
@@ -298,9 +297,10 @@ func New(cfg Config) (*Collector, error) {
 	c := &Collector{
 		cfg:           cfg,
 		clock:         simclock.Or(cfg.Clock),
-		nonceCur:      map[string]int64{},
+		icache:        newIngestCache(),
+		nonces:        gen2.New[string, int64](nonceCacheLimit),
 		nonceInflight: map[string]chan struct{}{},
-		streamCur:     map[string]struct{}{},
+		streams:       gen2.New[string, struct{}](streamCacheLimit),
 		upgrader: wsproto.Upgrader{
 			MaxMessageSize: cfg.MaxMessageSize,
 			// Ad beacons are cross-origin by design: the iframe origin
@@ -387,11 +387,7 @@ func New(cfg Config) (*Collector, error) {
 func (c *Collector) nonceLookup(nonce string) (int64, bool) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
-	if id, ok := c.nonceCur[nonce]; ok {
-		return id, true
-	}
-	id, ok := c.noncePrev[nonce]
-	return id, ok
+	return c.nonces.Peek(nonce)
 }
 
 // nonceRecord remembers nonce → id, rotating generations at the cap,
@@ -400,11 +396,7 @@ func (c *Collector) nonceLookup(nonce string) (int64, bool) {
 func (c *Collector) nonceRecord(nonce string, id int64) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
-	if len(c.nonceCur) >= nonceCacheLimit {
-		c.noncePrev = c.nonceCur
-		c.nonceCur = make(map[string]int64, nonceCacheLimit/4)
-	}
-	c.nonceCur[nonce] = id
+	c.nonces.Put(nonce, id)
 	if ch, ok := c.nonceInflight[nonce]; ok {
 		delete(c.nonceInflight, nonce)
 		close(ch)
@@ -419,10 +411,7 @@ func (c *Collector) nonceRecord(nonce string, id int64) {
 func (c *Collector) nonceClaim(nonce string) (id int64, ok bool, wait <-chan struct{}) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
-	if id, ok := c.nonceCur[nonce]; ok {
-		return id, true, nil
-	}
-	if id, ok := c.noncePrev[nonce]; ok {
+	if id, ok := c.nonces.Peek(nonce); ok {
 		return id, true, nil
 	}
 	if ch, inflight := c.nonceInflight[nonce]; inflight {
@@ -705,16 +694,15 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.tel.upgrade.ObserveDuration(c.clock.Since(upgradeStart))
 	}
 	c.Metrics.Connections.Add(1)
-	if c.draining.Load() {
+	// Session messages are decoded (text) or copied/interned (binary)
+	// before the next read, so the frame buffer can recycle.
+	conn.ReuseReadBuffer()
+	if !c.trackSession(conn) {
 		// The listener is gone; an upgrade that raced shutdown gets a
 		// clean going-away close instead of a half-tracked session.
 		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
 		return
 	}
-	// Session messages are decoded (text) or copied/interned (binary)
-	// before the next read, so the frame buffer can recycle.
-	conn.ReuseReadBuffer()
-	c.trackSession(conn)
 	go func() {
 		defer c.untrackSession(conn)
 		// A panic in one session — a malformed frame tripping a bug, a
@@ -733,12 +721,19 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}()
 }
 
-func (c *Collector) trackSession(conn *wsproto.Conn) {
-	c.sessWG.Add(1)
+// trackSession registers conn for Drain's sweep, or reports false once
+// draining has begun. Drain sets the flag under the same lock, so every
+// connection is either swept or refused.
+func (c *Collector) trackSession(conn *wsproto.Conn) bool {
 	c.sessMu.Lock()
+	defer c.sessMu.Unlock()
+	if c.draining.Load() {
+		return false
+	}
+	c.sessWG.Add(1)
 	c.sessConns[conn] = struct{}{}
-	c.sessMu.Unlock()
 	c.tel.sessionsActive.Add(1)
+	return true
 }
 
 func (c *Collector) untrackSession(conn *wsproto.Conn) {
@@ -757,8 +752,8 @@ func (c *Collector) untrackSession(conn *wsproto.Conn) {
 // adaudit_collector_sessions_dropped_shutdown_total); those
 // impressions die with the process, the paper's §3.1 loss model.
 func (c *Collector) Drain(grace time.Duration) int {
-	c.draining.Store(true)
 	c.sessMu.Lock()
+	c.draining.Store(true)
 	for conn := range c.sessConns {
 		_ = conn.SetReadDeadline(c.clock.Now())
 	}

@@ -211,7 +211,7 @@ func TestNonceCacheRotatesGenerations(t *testing.T) {
 		c.nonceRecord(fmt.Sprintf("n-%d", i), int64(i+1))
 	}
 	c.nonceMu.Lock()
-	cur, prev := len(c.nonceCur), len(c.noncePrev)
+	cur, prev := c.nonces.Len()
 	c.nonceMu.Unlock()
 	if prev != nonceCacheLimit || cur != 10 {
 		t.Fatalf("generations cur=%d prev=%d, want 10/%d", cur, prev, nonceCacheLimit)

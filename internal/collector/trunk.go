@@ -27,17 +27,10 @@ const streamCacheLimit = 1 << 16
 func (c *Collector) streamSeen(key string) bool {
 	c.streamMu.Lock()
 	defer c.streamMu.Unlock()
-	if _, ok := c.streamCur[key]; ok {
+	if _, ok := c.streams.Peek(key); ok {
 		return true
 	}
-	if _, ok := c.streamPrev[key]; ok {
-		return true
-	}
-	if len(c.streamCur) >= streamCacheLimit {
-		c.streamPrev = c.streamCur
-		c.streamCur = make(map[string]struct{}, streamCacheLimit/4)
-	}
-	c.streamCur[key] = struct{}{}
+	c.streams.Put(key, struct{}{})
 	return false
 }
 
@@ -46,8 +39,7 @@ func (c *Collector) streamSeen(key string) bool {
 // deduplicated against an impression that never reached the store.
 func (c *Collector) streamForget(key string) {
 	c.streamMu.Lock()
-	delete(c.streamCur, key)
-	delete(c.streamPrev, key)
+	c.streams.Delete(key)
 	c.streamMu.Unlock()
 }
 
@@ -71,17 +63,16 @@ func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 		c.cfg.Logger.Debug("collector: trunk handshake rejected", "err", err, "remote", r.RemoteAddr)
 		return
 	}
-	if c.draining.Load() {
-		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
-		return
-	}
 	// DecodeBatch copies every string out of the message, so the batch
 	// buffer can recycle across reads.
 	conn.ReuseReadBuffer()
 	// Trunks ride the same session tracking as beacon connections, so
 	// Drain tears them down too: the gateway spills unacked commits and
 	// replays them against the restarted collector.
-	c.trackSession(conn)
+	if !c.trackSession(conn) {
+		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
+		return
+	}
 	defer c.untrackSession(conn)
 	c.tel.trunksActive.Add(1)
 	defer c.tel.trunksActive.Add(-1)
@@ -119,6 +110,12 @@ func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 				if gatewayID == "" {
 					gatewayID = f.GatewayID
 					_ = conn.SetReadDeadline(time.Time{})
+					if c.draining.Load() {
+						// Drain may have forced its deadline between the
+						// read and the clear above; restore it so this
+						// trunk still ends with the collector.
+						_ = conn.SetReadDeadline(c.clock.Now())
+					}
 					c.cfg.Logger.Info("collector: trunk established",
 						"gateway", gatewayID, "version", f.Version, "remote", r.RemoteAddr)
 				}

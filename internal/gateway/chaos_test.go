@@ -160,7 +160,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	spilledDuringOutage := g.spillPending()
+	spilledDuringOutage := spillPending(g)
 	if spilledDuringOutage == 0 {
 		t.Error("no commit spilled during the collector outage; the zero-loss path went unexercised")
 	}
@@ -201,7 +201,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 	}
 	t.Logf("chaos: %d/%d acked, clientKills=%d trunkKills=%d slowTrunks=%d replays=%d breakerOpens=%d",
 		acked, fleet, clientKills, trunkKills,
-		trunkPlan.SlowLinks.Load(), g.tel.replays.Load(), g.tel.breakerOpens.Load())
+		trunkPlan.SlowLinks.Load(), metric(t, g, "replays_total", nil), metric(t, g, "breaker_opens_total", nil))
 
 	// Zero loss, exactly once, on the surviving store.
 	byNonce := map[string]int{}

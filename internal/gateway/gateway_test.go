@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,6 +123,59 @@ func trunkURL(srv *collector.Server) string {
 	return fmt.Sprintf("ws://%s/trunk", srv.Addr())
 }
 
+// healthyTrunks and spillPending read the gateway's /healthz numbers.
+func healthyTrunks(g *Gateway) int { return g.Health().TrunksHealthy }
+func spillPending(g *Gateway) int  { return g.Health().SpillPending }
+
+// metric reads one adaudit_gateway_* series from the gateway's registry.
+func metric(t *testing.T, g *Gateway, name string, labels map[string]string) int64 {
+	t.Helper()
+	s, ok := g.Telemetry().Find("adaudit_gateway_"+name, labels)
+	if !ok {
+		t.Fatalf("metric adaudit_gateway_%s%v not registered", name, labels)
+	}
+	return int64(s.Value)
+}
+
+// sheds reads the admission shed counter for one reason.
+func sheds(t *testing.T, g *Gateway, reason string) int64 {
+	t.Helper()
+	return metric(t, g, "sheds_total", map[string]string{"reason": reason})
+}
+
+// severableDialer records every trunk connection it opens and, once
+// armed, refuses new dials: a severed trunk's redial then fails and its
+// breaker holds the slot down, instead of the slot coming straight
+// back on a successful redial.
+type severableDialer struct {
+	mu    sync.Mutex
+	conns []net.Conn
+	armed atomic.Bool
+}
+
+func (d *severableDialer) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	if d.armed.Load() {
+		return nil, errors.New("dial refused: severed")
+	}
+	var nd net.Dialer
+	c, err := nd.DialContext(ctx, network, addr)
+	if err == nil {
+		d.mu.Lock()
+		d.conns = append(d.conns, c)
+		d.mu.Unlock()
+	}
+	return c, err
+}
+
+// sever arms the dialer and cuts the first connection it opened.
+func (d *severableDialer) sever() {
+	d.armed.Store(true)
+	d.mu.Lock()
+	c := d.conns[0]
+	d.mu.Unlock()
+	c.Close()
+}
+
 func waitFor(t *testing.T, timeout time.Duration, msg string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -150,7 +205,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	c, st := testCollector(t, nil)
 	csrv, _ := startCollectorServer(t, c, "127.0.0.1:0")
 	g, gsrv := startGateway(t, fastConfig(trunkURL(csrv)))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() == len(g.trunks) })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) == g.Health().TrunksTotal })
 
 	client := &beacon.Client{CollectorURL: gsrv.BeaconURL()}
 	p := testPayload(0)
@@ -181,9 +236,14 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if im.Nonce != p.Nonce {
 		t.Fatalf("nonce = %q, want %q", im.Nonce, p.Nonce)
 	}
-	waitFor(t, 5*time.Second, "spill buffer to drain", func() bool { return g.spillPending() == 0 })
-	if got := g.tel.acks.Load(); got != 1 {
+	waitFor(t, 5*time.Second, "spill buffer to drain", func() bool { return spillPending(g) == 0 })
+	if got := metric(t, g, "acks_total", nil); got != 1 {
 		t.Fatalf("acks = %v, want 1", got)
+	}
+	// The gateway's one pool shares the engine's unlabelled series, so
+	// a commit must be counted once, not once per layer.
+	if got := metric(t, g, "commits_total", nil); got != 1 {
+		t.Fatalf("commits = %v, want 1", got)
 	}
 	if got := c.Metrics.Events.Load(); got != 1 {
 		t.Fatalf("collector events metric = %d, want 1 (direct-path parity)", got)
@@ -196,7 +256,7 @@ func TestGatewaySynthesizesNonce(t *testing.T) {
 	c, st := testCollector(t, nil)
 	csrv, _ := startCollectorServer(t, c, "127.0.0.1:0")
 	g, gsrv := startGateway(t, fastConfig(trunkURL(csrv)))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) > 0 })
 
 	client := &beacon.Client{CollectorURL: gsrv.BeaconURL()}
 	p := testPayload(0)
@@ -220,7 +280,7 @@ func TestGatewayOriginAdmission(t *testing.T) {
 	cfg := fastConfig(trunkURL(csrv))
 	cfg.AllowedOrigins = []string{"ads.example.com"}
 	g, gsrv := startGateway(t, cfg)
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) > 0 })
 
 	dialWithOrigin := func(origin string) (*wsproto.Conn, *http.Response, error) {
 		d := &wsproto.Dialer{Header: http.Header{}}
@@ -248,7 +308,7 @@ func TestGatewayOriginAdmission(t *testing.T) {
 			t.Fatalf("origin %q: response %+v, want 403", origin, resp)
 		}
 	}
-	if got := g.tel.sheds.With(ShedOrigin).Load(); got != 3 {
+	if got := sheds(t, g, ShedOrigin); got != 3 {
 		t.Fatalf("origin sheds = %v, want 3", got)
 	}
 }
@@ -262,7 +322,7 @@ func TestGatewayShedsAtCapacity(t *testing.T) {
 	cfg := fastConfig(trunkURL(csrv))
 	cfg.MaxSessions = 1
 	g, gsrv := startGateway(t, cfg)
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) > 0 })
 
 	ctx := context.Background()
 	d := &wsproto.Dialer{}
@@ -283,7 +343,7 @@ func TestGatewayShedsAtCapacity(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "2" {
 		t.Fatalf("Retry-After = %q, want %q", got, "2")
 	}
-	if got := g.tel.sheds.With(ShedCapacity).Load(); got != 1 {
+	if got := sheds(t, g, ShedCapacity); got != 1 {
 		t.Fatalf("capacity sheds = %v, want 1", got)
 	}
 }
@@ -298,7 +358,7 @@ func TestGatewayRejectsWithoutTrunkToken(t *testing.T) {
 	cfg.TrunkToken = "wrong"
 	g, _ := startGateway(t, cfg)
 
-	waitFor(t, 5*time.Second, "breaker to open", func() bool { return g.tel.breakerOpens.Load() >= 1 })
+	waitFor(t, 5*time.Second, "breaker to open", func() bool { return metric(t, g, "breaker_opens_total", nil) >= 1 })
 	if h := g.Health(); h.Status != "unhealthy" || h.TrunksHealthy != 0 {
 		t.Fatalf("health = %+v, want unhealthy with zero trunks", h)
 	}
@@ -312,8 +372,11 @@ func TestHealthzDegradationLadder(t *testing.T) {
 	csrv, stopCollector := startCollectorServer(t, c, "127.0.0.1:0")
 	cfg := fastConfig(trunkURL(csrv))
 	cfg.Trunks = 2
-	// A long cooldown keeps broken trunks down for the duration of the
-	// middle rung instead of instantly redialing.
+	// A severed trunk's redials are refused, and with a threshold of one
+	// and a long cooldown its breaker keeps the slot down for the rest
+	// of the test.
+	dialer := &severableDialer{}
+	cfg.Dialer.NetDial = dialer.dial
 	cfg.BreakerThreshold = 1
 	cfg.BreakerCooldown = 30 * time.Second
 	g, gsrv := startGateway(t, cfg)
@@ -332,22 +395,22 @@ func TestHealthzDegradationLadder(t *testing.T) {
 		return resp.StatusCode, st
 	}
 
-	waitFor(t, 5*time.Second, "both trunks up", func() bool { return g.healthyTrunks() == 2 })
+	waitFor(t, 5*time.Second, "both trunks up", func() bool { return healthyTrunks(g) == 2 })
 	if code, st := getHealth(); code != http.StatusOK || st.Status != "ok" {
 		t.Fatalf("healthz with all trunks = %d %+v, want 200 ok", code, st)
 	}
 
 	// Break one trunk by severing its TCP connection; the breaker keeps
 	// the slot down.
-	g.trunks[0].closeConn()
-	waitFor(t, 5*time.Second, "one trunk down", func() bool { return g.healthyTrunks() == 1 })
+	dialer.sever()
+	waitFor(t, 5*time.Second, "one trunk down", func() bool { return healthyTrunks(g) == 1 })
 	if code, st := getHealth(); code != http.StatusOK || st.Status != "degraded" {
 		t.Fatalf("healthz with one trunk = %d %+v, want 200 degraded", code, st)
 	}
 
 	// Take the collector away entirely: the survivor drops too.
 	stopCollector()
-	waitFor(t, 5*time.Second, "all trunks down", func() bool { return g.healthyTrunks() == 0 })
+	waitFor(t, 5*time.Second, "all trunks down", func() bool { return healthyTrunks(g) == 0 })
 	if code, st := getHealth(); code != http.StatusServiceUnavailable || st.Status != "unhealthy" {
 		t.Fatalf("healthz with no trunks = %d %+v, want 503 unhealthy", code, st)
 	}
@@ -362,10 +425,10 @@ func TestGatewaySpillReplaysAcrossCollectorOutage(t *testing.T) {
 	csrv, stopCollector := startCollectorServer(t, c, "127.0.0.1:0")
 	collectorAddr := csrv.Addr().String()
 	g, gsrv := startGateway(t, fastConfig(trunkURL(csrv)))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) > 0 })
 
 	stopCollector()
-	waitFor(t, 5*time.Second, "trunks to drop", func() bool { return g.healthyTrunks() == 0 })
+	waitFor(t, 5*time.Second, "trunks to drop", func() bool { return healthyTrunks(g) == 0 })
 
 	// The client's whole session happens during the outage; Report
 	// returning nil is the gateway's promise.
@@ -376,7 +439,7 @@ func TestGatewaySpillReplaysAcrossCollectorOutage(t *testing.T) {
 	}
 	// The close handshake the client just saw races the commit's spill
 	// insert by microseconds; wait for it rather than sampling.
-	waitFor(t, 2*time.Second, "commit to spill", func() bool { return g.spillPending() == 1 })
+	waitFor(t, 2*time.Second, "commit to spill", func() bool { return spillPending(g) == 1 })
 	if st.Len() != 0 {
 		t.Fatal("impression reached a stopped collector?")
 	}
@@ -394,12 +457,12 @@ func TestGatewaySpillReplaysAcrossCollectorOutage(t *testing.T) {
 	}
 	startCollectorServer(t, c2, collectorAddr)
 
-	waitFor(t, 10*time.Second, "spilled commit to replay", func() bool { return st.Len() == 1 && g.spillPending() == 0 })
+	waitFor(t, 10*time.Second, "spilled commit to replay", func() bool { return st.Len() == 1 && spillPending(g) == 0 })
 	im, _ := st.Get(1)
 	if im.Nonce != p.Nonce {
 		t.Fatalf("replayed nonce = %q, want %q", im.Nonce, p.Nonce)
 	}
-	if got := g.tel.acks.Load(); got != 1 {
+	if got := metric(t, g, "acks_total", nil); got != 1 {
 		t.Fatalf("acks = %v, want 1", got)
 	}
 }
@@ -411,7 +474,7 @@ func TestGatewayDrainHandsSessionsBack(t *testing.T) {
 	c, st := testCollector(t, nil)
 	csrv, _ := startCollectorServer(t, c, "127.0.0.1:0")
 	g, gsrv := startGateway(t, fastConfig(trunkURL(csrv)))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) > 0 })
 
 	ctx := context.Background()
 	d := &wsproto.Dialer{}
@@ -427,7 +490,7 @@ func TestGatewayDrainHandsSessionsBack(t *testing.T) {
 	if err := conn.WriteText(beacon.EncodeEventUpdate(beacon.Event{Kind: beacon.EventClick, At: 5 * time.Millisecond})); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, "payload handshake to finish", func() bool { return g.tel.events.Load() == 1 })
+	waitFor(t, 2*time.Second, "payload handshake to finish", func() bool { return metric(t, g, "events_total", nil) == 1 })
 
 	drained := make(chan int, 1)
 	go func() { drained <- g.Drain(5 * time.Second) }()
@@ -480,7 +543,7 @@ func TestGatewayTraceSpans(t *testing.T) {
 	c, st := testCollector(t, func(cfg *collector.Config) { cfg.Tracer = tracer })
 	csrv, _ := startCollectorServer(t, c, "127.0.0.1:0")
 	g, gsrv := startGateway(t, fastConfig(trunkURL(csrv)))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) > 0 })
 
 	client := &beacon.Client{CollectorURL: gsrv.BeaconURL(), Tracer: tracer}
 	if err := client.Report(context.Background(), testPayload(3), 30*time.Millisecond); err != nil {
@@ -517,54 +580,6 @@ func TestGatewayTraceSpans(t *testing.T) {
 	}
 }
 
-// TestSessionQueueWatermarks pins the hysteresis contract: pushes stall
-// at the high watermark and resume only once drained to low.
-func TestSessionQueueWatermarks(t *testing.T) {
-	q := newSessionQueue(4, 1)
-	for i := 0; i < 4; i++ {
-		if !q.push([]byte{byte(i)}) {
-			t.Fatal("push refused below watermark")
-		}
-	}
-	blocked := make(chan bool, 1)
-	go func() { blocked <- q.push([]byte{99}) }()
-	select {
-	case <-blocked:
-		t.Fatal("push past high watermark did not stall")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Draining one frame (len 3 > low) must not wake the pusher.
-	if f, ok := q.pop(); !ok || f[0] != 0 {
-		t.Fatalf("pop = %v %v", f, ok)
-	}
-	select {
-	case <-blocked:
-		t.Fatal("pusher woke before the low watermark")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Draining to the low watermark releases it.
-	q.pop()
-	q.pop()
-	if ok := <-blocked; !ok {
-		t.Fatal("released push reported closed")
-	}
-	q.close()
-	// A closed queue still drains its backlog, then reports done.
-	got := 0
-	for {
-		if _, ok := q.pop(); !ok {
-			break
-		}
-		got++
-	}
-	if got != 2 { // frames 3 and 99 remained
-		t.Fatalf("drained %d frames after close, want 2", got)
-	}
-	if q.push([]byte{1}) {
-		t.Fatal("push succeeded on closed queue")
-	}
-}
-
 // TestGatewayBackpressureDropsAdvisoryNotCommits: with no healthy trunk
 // the advisory stream is dropped but the commit still lands once the
 // collector returns — the queue never blocks a session forever.
@@ -576,9 +591,9 @@ func TestGatewayBackpressureDropsAdvisoryNotCommits(t *testing.T) {
 	cfg.QueueHigh = 4
 	cfg.QueueLow = 1
 	g, gsrv := startGateway(t, cfg)
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.healthyTrunks() > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return healthyTrunks(g) > 0 })
 	stopCollector()
-	waitFor(t, 5*time.Second, "trunks to drop", func() bool { return g.healthyTrunks() == 0 })
+	waitFor(t, 5*time.Second, "trunks to drop", func() bool { return healthyTrunks(g) == 0 })
 
 	client := &beacon.Client{CollectorURL: gsrv.BeaconURL()}
 	p := testPayload(4)
@@ -594,7 +609,7 @@ func TestGatewayBackpressureDropsAdvisoryNotCommits(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, "advisory frames to be dropped", func() bool { return g.tel.queueDrops.Load() > 0 })
+	waitFor(t, 2*time.Second, "advisory frames to be dropped", func() bool { return metric(t, g, "queue_drops_total", nil) > 0 })
 
 	c2, err := collector.New(collector.Config{
 		Store:             st,
@@ -638,7 +653,7 @@ func TestGatewayShedsWhenSpillFull(t *testing.T) {
 	if err := client.Report(context.Background(), testPayload(5), 10*time.Millisecond); err != nil {
 		t.Fatalf("first session should be acked into the spill: %v", err)
 	}
-	waitFor(t, 2*time.Second, "commit to spill", func() bool { return g.spillPending() == 1 })
+	waitFor(t, 2*time.Second, "commit to spill", func() bool { return spillPending(g) == 1 })
 	d := &wsproto.Dialer{}
 	_, resp, err := d.Dial(context.Background(), gsrv.BeaconURL())
 	if err == nil {
@@ -647,7 +662,7 @@ func TestGatewayShedsWhenSpillFull(t *testing.T) {
 	if resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("spill shed response = %+v, want 503", resp)
 	}
-	if got := g.tel.sheds.With(ShedSpill).Load(); got != 1 {
+	if got := sheds(t, g, ShedSpill); got != 1 {
 		t.Fatalf("spill sheds = %v, want 1", got)
 	}
 }

@@ -1,28 +1,32 @@
-// Package router implements the multiplexing front tier of the
-// horizontally sharded collector topology: one process that terminates
-// beacon WebSockets (and whole gateway trunks) and consistent-hashes
-// every session onto one of N collector shards by its session key — the
-// beacon nonce — so each shard's store + WAL + streaming audit engine
-// owns a stable, disjoint slice of the dataset. The shard-merge layer
-// (internal/shardmerge) reunions those slices into the single-store
-// audit the paper's methodology needs.
+// Package router is the ingest tier's one forwarding engine. It
+// terminates beacon WebSockets and forwards each session to a collector
+// over persistent trunk connections (the internal/trunk frame
+// protocol). The paper's audit only holds if the collector receives
+// every beacon a panelist emits, so the engine's whole job is
+// robustness: admission control (origin allowlist, session caps,
+// overload shedding with Retry-After hints the beacon client honors),
+// per-trunk circuit breakers, bounded per-session forward queues with
+// watermark backpressure, and a spill buffer that holds every
+// client-acknowledged commit until its collector durably acks it,
+// replayed through the collector's nonce/stream dedup so nothing is
+// double-counted.
 //
-// Per shard the router keeps a small pool of persistent trunk
-// connections (the internal/trunk frame protocol, unchanged from the
-// gateway tier) with circuit breakers and batched writes; sessions
-// multiplex over whichever trunk of their shard's pool is healthy.
-// Commits are held in a per-shard spill buffer until the owning shard
-// durably acks them — a shard restart re-homes nothing across shards
-// (ownership is the hash, not the topology) but replays every
-// outstanding commit to the restarted shard through its nonce/stream
-// dedup, so acked-to-client never becomes loss and replays never
-// double-count.
+// The engine runs in two roles, fixed by its constructor:
 //
-// The router also terminates gateway trunks on /trunk: an edge gateway
-// (internal/gateway) can point its collector URL at the router, which
-// re-streams each commit onto the owning shard and relays the shard's
-// ack back to the gateway — the gateway's own spill discipline then
-// covers the full path end to end.
+//   - New builds the sharded router. It consistent-hashes every session
+//     onto one of N collector shards by its nonce, so each shard's
+//     store, WAL and streaming audit own a stable, disjoint slice of the
+//     dataset that internal/shardmerge reunites. It also terminates
+//     gateway trunks on /trunk and relays their commits to the owning
+//     shard (see ServeTrunk).
+//   - NewGateway builds the edge gateway: the same engine with one
+//     upstream collector and no relay endpoint, under its own metric
+//     names, ID prefix and /healthz body.
+//
+// Either way the engine is trusted infrastructure, unlike the clients
+// it fronts: it measures exposure as connection lifetime on its own
+// clock and ships the connection-derived facts (peer IP, connect time,
+// exposure) upstream in a self-contained Commit frame.
 package router
 
 import (
@@ -32,6 +36,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,6 +44,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/gen2"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
@@ -46,40 +52,47 @@ import (
 	"adaudit/internal/wsproto"
 )
 
-// Shed reasons used for adaudit_router_sheds_total{reason=...}.
+// Shed reasons used for the sheds_total{reason=...} counter.
 const (
-	ShedDraining = "draining" // router is draining for shutdown
+	ShedDraining = "draining" // draining for shutdown
 	ShedCapacity = "capacity" // MaxSessions cap reached
-	ShedSpill    = "spill"    // spill buffer full: a shard outage outlasting memory
+	ShedSpill    = "spill"    // spill buffer full: an upstream outage outlasting memory
 	ShedOrigin   = "origin"   // page origin not in the allowlist
 )
 
-// maxStageSkew clamps router-measured trace offsets against clients
-// whose clocks disagree wildly with ours.
+// maxStageSkew clamps engine-measured trace offsets against clients
+// whose clocks disagree wildly with ours — the same bound the
+// collector's trace adoption applies.
 const maxStageSkew = 5 * time.Minute
 
-// Config assembles a Router.
+// Config assembles the engine.
 type Config struct {
-	// Shards lists each collector shard's trunk endpoint
+	// Shards lists each upstream collector's trunk endpoint
 	// (ws://host:port/trunk) in shard order. The order is the identity
 	// of the topology: the hash routes by index, and the shard-merge
 	// layer must union exports in the same order for bit-stable float
-	// aggregates. Required, at least one.
+	// aggregates. Required: at least one for a router, exactly one for
+	// a gateway.
 	Shards []string
-	// TrunkToken is presented on shard trunk handshakes and required of
-	// gateways trunking into /trunk (empty disables both checks).
+	// TrunkToken is presented on upstream trunk handshakes and required
+	// of gateways trunking into /trunk (empty disables both checks).
 	TrunkToken string
-	// RouterID names this router on the trunk wire; shard-side commits
-	// are deduped per (router, stream), so each instance needs a
-	// distinct ID. Defaults to a random token.
+	// RouterID names this instance on the trunk wire; upstream commits
+	// are deduped per (id, stream), so each instance needs a distinct
+	// ID. Defaults to a random token.
 	RouterID string
-	// TrunksPerShard is the size of each shard's trunk pool (default 2).
+	// TrunksPerShard is the size of each upstream's trunk pool
+	// (default 2).
 	TrunksPerShard int
-	// Dialer customises shard trunk dials (tests inject faults).
+	// Dialer customises trunk dials (tests inject faults through
+	// WrapConn/NetDial). MaxMessageSize and Header are managed by the
+	// engine.
 	Dialer wsproto.Dialer
 
 	// AllowedOrigins restricts which page origins may open beacon
-	// sessions; empty admits all.
+	// sessions: a request whose Origin header's host neither equals an
+	// entry nor is a subdomain of one is refused with 403. Empty admits
+	// all origins (ad iframes are cross-origin by design).
 	AllowedOrigins []string
 	// MaxSessions caps concurrent beacon sessions; 0 disables.
 	MaxSessions int
@@ -88,8 +101,9 @@ type Config struct {
 	// HandshakeTimeout bounds the wait for a session's initial payload
 	// (default 10s).
 	HandshakeTimeout time.Duration
-	// KeepAliveInterval pings idle beacon sessions and trunks (default
-	// 30s; negative disables).
+	// KeepAliveInterval pings idle beacon sessions and trunks; a peer
+	// that stops answering within two intervals is torn down. Default
+	// 30s; negative disables.
 	KeepAliveInterval time.Duration
 	// MaxExposure caps a session's lifetime (default 30 minutes).
 	MaxExposure time.Duration
@@ -101,16 +115,16 @@ type Config struct {
 	BatchAge   time.Duration
 
 	// QueueHigh/QueueLow are the per-session forward-queue watermarks
-	// (defaults 64/16): reads stall at high, resume at low — the same
-	// backpressure-into-TCP discipline as the gateway tier, now applied
-	// per shard pool.
+	// (defaults 64/16): reads stall at high and resume at low —
+	// backpressure into the client's TCP window instead of memory.
 	QueueHigh int
 	QueueLow  int
 
-	// SpillLimit bounds unacknowledged commits held across shard
-	// outages, summed over every shard's spill (default 65536).
+	// SpillLimit bounds unacknowledged commits held across upstream
+	// outages, summed over every shard (default 65536); at the cap new
+	// sessions are shed rather than promised acks that may not be kept.
 	SpillLimit int
-	// AckTimeout re-sends a commit its shard has not acked (default
+	// AckTimeout re-sends a commit its upstream has not acked (default
 	// 5s); ReplayInterval is the spill scan period (default 1s).
 	AckTimeout     time.Duration
 	ReplayInterval time.Duration
@@ -126,18 +140,35 @@ type Config struct {
 
 	// Logger receives operational events; defaults to slog.Default().
 	Logger *slog.Logger
-	// Telemetry is the registry router instruments register on; nil
-	// creates a private one.
+	// Telemetry is the registry the engine's instruments register on;
+	// nil creates a private one.
 	Telemetry *telemetry.Registry
 }
 
-// Router terminates beacon sessions and gateway trunks and multiplexes
-// them onto per-shard trunk pools.
+// role is what tells the engine's two deployments apart from outside.
+// The constructor fixes it; it is never configured.
+type role struct {
+	name     string // log and error prefix, shed body, metric family stem
+	idPrefix string // prefix of a generated RouterID
+	// sharded selects per-shard telemetry (shard_id labels), a shard
+	// list in /healthz and the /trunk relay endpoint. A gateway has one
+	// unlabelled upstream and relays nothing.
+	sharded bool
+}
+
+var (
+	routerRole  = role{name: "router", idPrefix: "rt-", sharded: true}
+	gatewayRole = role{name: "gateway", idPrefix: "gw-"}
+)
+
+// Router terminates beacon sessions (and, in the router role, gateway
+// trunks) and forwards them onto per-shard trunk pools.
 type Router struct {
 	cfg      Config
+	role     role
 	log      *slog.Logger
 	reg      *telemetry.Registry
-	tel      routerTelemetry
+	tel      engineTelemetry
 	upgrader wsproto.Upgrader
 
 	pools []*shardPool
@@ -147,7 +178,7 @@ type Router struct {
 	sessConns map[*wsproto.Conn]struct{}
 	sessWG    sync.WaitGroup
 
-	// streamID numbers router-originated streams (beacon sessions and
+	// streamID numbers engine-originated streams (beacon sessions and
 	// relayed gateway commits alike); stream 0 is never used.
 	streamID atomic.Uint64
 
@@ -164,9 +195,8 @@ type Router struct {
 	// follow their Open even when the gateway round-robins the two
 	// frames onto different trunk connections. Two generations bound the
 	// memory when gateways die without committing.
-	opensMu   sync.Mutex
-	opensCur  map[string]relayOpen
-	opensPrev map[string]relayOpen
+	opensMu sync.Mutex
+	opens   gen2.Map[string, relayOpen]
 
 	stopCh    chan struct{}
 	stopOnce  sync.Once
@@ -181,19 +211,33 @@ type relayEntry struct {
 	shard        int
 }
 
-// New validates cfg and returns a started Router: every shard pool's
-// trunk runners and replay loop are live. Callers own serving HTTP (see
-// Server) and must Close the router when done.
+// New validates cfg and returns a started sharded router: every shard
+// pool's trunk runners and replay loop are live. Callers own serving
+// HTTP (see Server) and must Close the router when done.
 func New(cfg Config) (*Router, error) {
-	if len(cfg.Shards) == 0 {
-		return nil, fmt.Errorf("router: config requires at least one shard trunk URL")
+	return start(cfg, routerRole)
+}
+
+// NewGateway validates cfg and returns a started edge gateway: the
+// engine with cfg.Shards' single collector as its one upstream, no
+// relay endpoint, adaudit_gateway_* metrics and a gw- ID.
+func NewGateway(cfg Config) (*Router, error) {
+	if len(cfg.Shards) > 1 {
+		return nil, fmt.Errorf("gateway: config lists %d upstreams, want one collector", len(cfg.Shards))
+	}
+	return start(cfg, gatewayRole)
+}
+
+func start(cfg Config, ro role) (*Router, error) {
+	if len(cfg.Shards) == 0 || slices.Contains(cfg.Shards, "") {
+		return nil, fmt.Errorf("%s: config requires an upstream trunk URL", ro.name)
 	}
 	if cfg.RouterID == "" {
 		var b [6]byte
 		if _, err := rand.Read(b[:]); err != nil {
-			return nil, fmt.Errorf("router: generating id: %w", err)
+			return nil, fmt.Errorf("%s: generating id: %w", ro.name, err)
 		}
-		cfg.RouterID = "rt-" + hex.EncodeToString(b[:])
+		cfg.RouterID = ro.idPrefix + hex.EncodeToString(b[:])
 	}
 	if cfg.TrunksPerShard <= 0 {
 		cfg.TrunksPerShard = 2
@@ -251,9 +295,10 @@ func New(cfg Config) (*Router, error) {
 		reg = telemetry.NewRegistry()
 	}
 	r := &Router{
-		cfg: cfg,
-		log: cfg.Logger,
-		reg: reg,
+		cfg:  cfg,
+		role: ro,
+		log:  cfg.Logger,
+		reg:  reg,
 		upgrader: wsproto.Upgrader{
 			MaxMessageSize:    cfg.MaxMessageSize,
 			EnableCompression: true,
@@ -261,10 +306,10 @@ func New(cfg Config) (*Router, error) {
 		sessConns:     map[*wsproto.Conn]struct{}{},
 		relays:        map[uint64]*relayEntry{},
 		relayByOrigin: map[string]uint64{},
-		opensCur:      map[string]relayOpen{},
+		opens:         gen2.New[string, relayOpen](relayOpenLimit),
 		stopCh:        make(chan struct{}),
 	}
-	r.tel = newRouterTelemetry(reg, r)
+	r.tel = newEngineTelemetry(r)
 	for i, u := range cfg.Shards {
 		p := newShardPool(r, i, u)
 		r.pools = append(r.pools, p)
@@ -278,7 +323,7 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Telemetry returns the router's metrics registry.
+// Telemetry returns the engine's metrics registry.
 func (r *Router) Telemetry() *telemetry.Registry { return r.reg }
 
 // SessionCount returns the number of live beacon sessions and gateway
@@ -303,12 +348,12 @@ func (r *Router) spillPending() int {
 	return n
 }
 
-// shed refuses the request with 503 and the router's Retry-After hint.
+// shed refuses the request with 503 and the Retry-After hint.
 func (r *Router) shed(w http.ResponseWriter, reason string) {
 	r.tel.sheds.With(reason).Inc()
 	w.Header().Set("Retry-After",
 		strconv.Itoa(int((r.cfg.RetryAfterHint+time.Second-1)/time.Second)))
-	http.Error(w, "router "+reason, http.StatusServiceUnavailable)
+	http.Error(w, r.role.name+" "+reason, http.StatusServiceUnavailable)
 }
 
 // originAllowed applies the admission allowlist to an Origin header.
@@ -333,8 +378,10 @@ func (r *Router) originAllowed(origin string) bool {
 }
 
 // ServeHTTP is the beacon endpoint: admission control, WebSocket
-// upgrade, then the session protocol. The session's shard is decided
-// the moment its payload (and thus nonce) is known.
+// upgrade, then the session protocol (first message is the impression
+// payload, "ev:" messages are interaction updates, the connection
+// lifetime measures exposure). The session's shard is decided the
+// moment its payload, and thus its nonce, is known.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case r.draining.Load():
@@ -344,6 +391,9 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		r.shed(w, ShedCapacity)
 		return
 	case r.spillPending() >= r.cfg.SpillLimit:
+		// An upstream has been unreachable long enough to fill the spill
+		// buffer; admitting more sessions would promise acks that may
+		// not be kept.
 		r.shed(w, ShedSpill)
 		return
 	case !r.originAllowed(req.Header.Get("Origin")):
@@ -353,28 +403,36 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	conn, err := r.upgrader.Upgrade(w, req)
 	if err != nil {
-		r.log.Debug("router: handshake rejected", "err", err, "remote", req.RemoteAddr)
+		r.log.Debug(r.role.name+": handshake rejected", "err", err, "remote", req.RemoteAddr)
 		return
 	}
 	r.tel.connections.Add(1)
-	if r.draining.Load() {
+	// Session messages are decoded or copied before the next read, so
+	// the frame buffer can recycle.
+	conn.ReuseReadBuffer()
+	if !r.trackSession(conn) {
 		_ = conn.Close(wsproto.CloseServiceRestart, r.drainCloseReason())
 		return
 	}
-	conn.ReuseReadBuffer()
-	r.trackSession(conn)
 	go func() {
 		defer r.untrackSession(conn)
 		r.runSession(conn)
 	}()
 }
 
-func (r *Router) trackSession(conn *wsproto.Conn) {
-	r.sessWG.Add(1)
+// trackSession registers conn for Drain's sweep, or reports false once
+// draining has begun. Drain sets the flag under the same lock, so every
+// accepted connection is either swept or refused.
+func (r *Router) trackSession(conn *wsproto.Conn) bool {
 	r.sessMu.Lock()
+	defer r.sessMu.Unlock()
+	if r.draining.Load() {
+		return false
+	}
+	r.sessWG.Add(1)
 	r.sessConns[conn] = struct{}{}
-	r.sessMu.Unlock()
 	r.tel.sessionsActive.Add(1)
+	return true
 }
 
 func (r *Router) untrackSession(conn *wsproto.Conn) {
@@ -385,7 +443,9 @@ func (r *Router) untrackSession(conn *wsproto.Conn) {
 	r.sessWG.Done()
 }
 
-// drainCloseReason is the close-frame reason drained clients receive.
+// drainCloseReason is the close-frame reason drained clients receive:
+// the resumable 1012 code plus the backoff floor the beacon client
+// parses.
 func (r *Router) drainCloseReason() string {
 	return "draining retry-after=" + r.cfg.RetryAfterHint.String()
 }
@@ -423,6 +483,9 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 		return
 	}
 	recvAt := time.Now()
+	// The first message's opcode selects the session wire, mirroring
+	// the collector's negotiation. Trunk frames re-encode as text either
+	// way: the collector ingests both identically.
 	var payload beacon.Payload
 	if op == wsproto.OpBinary {
 		payload, err = beacon.DecodeBinary(msg)
@@ -430,35 +493,38 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 		payload, err = beacon.Decode(string(msg))
 	}
 	if err != nil {
-		r.log.Debug("router: bad payload", "err", err, "remote", remote)
+		r.log.Debug(r.role.name+": bad payload", "err", err, "remote", remote)
 		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
 		return
 	}
-	// The nonce is both the replay-dedup key and the shard key, so a
-	// nonce-less payload gets one minted before the shard is chosen —
-	// client retries that carry the nonce then land on the same shard.
+	// The nonce is both the replay-dedup key and the shard key: a commit
+	// replayed against a restarted collector merges by nonce instead of
+	// double-counting, and client retries carrying it land on the same
+	// shard. A nonce-less payload gets one minted before routing.
 	if payload.Nonce == "" {
 		payload.Nonce = beacon.NewNonce()
 	}
 	pool := r.poolFor(payload.Nonce)
 	stream := r.streamID.Add(1)
 
+	// Engine-leg trace stages, measured against the beacon's stamped
+	// send time (only meaningful for sampled payloads).
 	traced := payload.TraceID != "" && payload.TraceSent > 0
-	var routerRecv time.Duration
+	var hopRecv time.Duration
 	if traced {
-		routerRecv = stageOffset(payload.TraceSent, recvAt)
+		hopRecv = stageOffset(payload.TraceSent, recvAt)
 	}
 
 	// The forward queue decouples this session's reads from its shard's
 	// trunk health; the high watermark stalls reads into the client's
-	// TCP window rather than growing router memory.
+	// TCP window rather than growing memory.
 	q := newSessionQueue(r.cfg.QueueHigh, r.cfg.QueueLow)
 	defer q.close()
 	var fwdWG sync.WaitGroup
 	fwdWG.Add(1)
 	go func() {
 		defer fwdWG.Done()
-		r.forwardLoop(pool, q)
+		pool.forwardLoop(q)
 	}()
 	q.push(trunk.AppendFrame(nil, trunk.Frame{
 		Type: trunk.Open, Stream: stream,
@@ -467,6 +533,8 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 		Payload:     payload.Encode(),
 	}))
 
+	// Keepalive and exposure-cap deadlines, the collector's discipline
+	// applied at this hop.
 	hardStop := connectedAt.Add(r.cfg.MaxExposure)
 	renewDeadline := func() {
 		if r.draining.Load() {
@@ -485,23 +553,7 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 	if ka := r.cfg.KeepAliveInterval; ka > 0 {
 		stopPings := make(chan struct{})
 		defer close(stopPings)
-		go func() {
-			t := time.NewTicker(ka)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopPings:
-					return
-				case <-t.C:
-					_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-					err := conn.Ping(nil)
-					_ = conn.SetWriteDeadline(time.Time{})
-					if err != nil {
-						return
-					}
-				}
-			}
-		}()
+		go keepAlive(conn, ka, stopPings)
 	}
 
 	for {
@@ -518,7 +570,7 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 			e, isEvent, err = beacon.DecodeEventUpdate(string(msg))
 		}
 		if err != nil {
-			r.log.Debug("router: bad event update", "err", err, "remote", remote)
+			r.log.Debug(r.role.name+": bad event update", "err", err, "remote", remote)
 			continue
 		}
 		if isEvent {
@@ -547,7 +599,7 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 	var stages []trunk.Stage
 	if traced {
 		stages = []trunk.Stage{
-			{Name: trace.StageGatewayRecv, Offset: routerRecv},
+			{Name: trace.StageGatewayRecv, Offset: hopRecv},
 			{Name: trace.StageTrunkForward, Offset: stageOffset(payload.TraceSent, time.Now())},
 		}
 	}
@@ -562,7 +614,6 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 	// Spill before closing the client: once the commit is in the shard
 	// pool's spill buffer the replay loop guarantees delivery, so the
 	// close handshake the client treats as its ack is never a lie.
-	r.tel.commits.Add(1)
 	pool.spillCommit(stream, commit)
 
 	if r.draining.Load() {
@@ -572,63 +623,71 @@ func (r *Router) runSession(conn *wsproto.Conn) {
 	}
 }
 
-// forwardLoop drains one session's queue onto its shard pool's healthy
-// trunks. Advisory frames are droppable: with no healthy trunk in the
-// pool they are discarded, since the accounting state travels
-// self-contained in the commit.
-func (r *Router) forwardLoop(p *shardPool, q *sessionQueue) {
-	var t *trunkConn
+// keepAlive pings conn every interval until stop closes or a ping
+// fails.
+func keepAlive(conn *wsproto.Conn, interval time.Duration, stop <-chan struct{}) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
 	for {
-		frame, ok := q.pop()
-		if !ok {
+		select {
+		case <-stop:
 			return
-		}
-		if t == nil || !t.isHealthy() {
-			t = p.pickTrunk()
-		}
-		if t == nil || !t.enqueue(frame) {
-			p.tel.queueDrops.Add(1)
+		case <-t.C:
+			_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			err := conn.Ping(nil)
+			_ = conn.SetWriteDeadline(time.Time{})
+			if err != nil {
+				return
+			}
 		}
 	}
 }
 
-// ShardHealth is one shard's slice of the /healthz body.
-type ShardHealth struct {
-	ShardID       int `json:"shard_id"`
+// TrunkHealth counts one upstream's trunk connections.
+type TrunkHealth struct {
 	TrunksTotal   int `json:"trunks_total"`
 	TrunksHealthy int `json:"trunks_healthy"`
-	SpillPending  int `json:"spill_pending"`
 }
 
-// HealthStatus is the router's /healthz body.
+// ShardHealth is one shard's slice of a router's /healthz body.
+type ShardHealth struct {
+	ShardID int `json:"shard_id"`
+	TrunkHealth
+	SpillPending int `json:"spill_pending"`
+}
+
+// HealthStatus is the /healthz body. A router reports its ID and a
+// per-shard breakdown; a gateway, with one upstream, reports its ID and
+// that upstream's trunk counts inline.
 type HealthStatus struct {
-	// Status is "ok" (every trunk of every shard up), "degraded" (every
-	// shard reachable but some trunks down), or "unhealthy" (at least
-	// one shard has no healthy trunk: its slice of the keyspace is
+	// Status is "ok" (every trunk of every upstream up), "degraded"
+	// (every upstream reachable but some trunks down), or "unhealthy"
+	// (some upstream has no healthy trunk: its slice of the keyspace is
 	// spilling and nothing can re-home it, because ownership is the
 	// hash, not the topology).
-	Status       string        `json:"status"`
-	RouterID     string        `json:"router_id"`
-	Shards       []ShardHealth `json:"shards"`
+	Status    string `json:"status"`
+	GatewayID string `json:"gateway_id,omitempty"`
+	RouterID  string `json:"router_id,omitempty"`
+	// *TrunkHealth is set for a gateway only.
+	*TrunkHealth
+	Shards       []ShardHealth `json:"shards,omitempty"`
 	Sessions     int           `json:"sessions"`
 	SpillPending int           `json:"spill_pending"`
 	Draining     bool          `json:"draining"`
 }
 
-// Health reports the router's degradation level.
+// Health reports the engine's degradation level.
 func (r *Router) Health() HealthStatus {
 	h := HealthStatus{
-		RouterID: r.cfg.RouterID,
 		Sessions: r.SessionCount(),
 		Draining: r.draining.Load(),
 	}
 	allUp, anyDead := true, false
 	for _, p := range r.pools {
 		sh := ShardHealth{
-			ShardID:       p.id,
-			TrunksTotal:   len(p.trunks),
-			TrunksHealthy: p.healthyTrunks(),
-			SpillPending:  p.spillPending(),
+			ShardID:      p.id,
+			TrunkHealth:  TrunkHealth{TrunksTotal: len(p.trunks), TrunksHealthy: p.healthyTrunks()},
+			SpillPending: p.spillPending(),
 		}
 		if sh.TrunksHealthy < sh.TrunksTotal {
 			allUp = false
@@ -638,6 +697,12 @@ func (r *Router) Health() HealthStatus {
 		}
 		h.SpillPending += sh.SpillPending
 		h.Shards = append(h.Shards, sh)
+	}
+	if r.role.sharded {
+		h.RouterID = r.cfg.RouterID
+	} else {
+		h.GatewayID = r.cfg.RouterID
+		h.TrunkHealth, h.Shards = &h.Shards[0].TrunkHealth, nil
 	}
 	switch {
 	case anyDead:
@@ -652,12 +717,16 @@ func (r *Router) Health() HealthStatus {
 
 // Drain sheds new sessions, forces live ones to commit and hands them
 // back with a resumable close (1012 + retry-after), then waits up to
-// grace for every shard's spill buffer to empty. It returns the number
-// of commits still unacknowledged when the grace expired — 0 means
-// every impression this router acked reached its shard.
+// grace for every spill buffer to empty. It returns the number of
+// commits still unacknowledged when the grace expired — 0 means every
+// impression acked to a client reached its collector.
 func (r *Router) Drain(grace time.Duration) int {
-	r.draining.Store(true)
+	// Send the resumable close ourselves: unblocking the session's read
+	// with a bare deadline would make wsproto auto-close with a protocol
+	// error before runSession could speak. Closing the transport is what
+	// breaks the read loop; the commit still happens after it.
 	r.sessMu.Lock()
+	r.draining.Store(true)
 	for conn := range r.sessConns {
 		_ = conn.Close(wsproto.CloseServiceRestart, r.drainCloseReason())
 	}
@@ -672,7 +741,7 @@ func (r *Router) Drain(grace time.Duration) int {
 	select {
 	case <-done:
 	case <-time.After(grace):
-		r.log.Warn("router: drain grace expired with sessions still open",
+		r.log.Warn(r.role.name+": drain grace expired with sessions still open",
 			"sessions", r.SessionCount())
 	}
 	for r.spillPending() > 0 && time.Now().Before(deadline) {

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +17,6 @@ import (
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
-	"adaudit/internal/gateway"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
 	"adaudit/internal/shardmerge"
@@ -191,6 +192,42 @@ func allTrunksUp(r *Router) bool {
 	return true
 }
 
+// severableDialer records every trunk connection it opens and, once
+// armed, refuses new dials: a severed trunk's redial then fails and its
+// breaker holds the slot down, instead of the slot coming straight
+// back on a successful redial.
+type severableDialer struct {
+	mu    sync.Mutex
+	conns map[string][]net.Conn
+	armed atomic.Bool
+}
+
+func (d *severableDialer) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	if d.armed.Load() {
+		return nil, errors.New("dial refused: severed")
+	}
+	var nd net.Dialer
+	c, err := nd.DialContext(ctx, network, addr)
+	if err == nil {
+		d.mu.Lock()
+		if d.conns == nil {
+			d.conns = map[string][]net.Conn{}
+		}
+		d.conns[addr] = append(d.conns[addr], c)
+		d.mu.Unlock()
+	}
+	return c, err
+}
+
+// sever arms the dialer and cuts the first connection it opened to addr.
+func (d *severableDialer) sever(addr string) {
+	d.armed.Store(true)
+	d.mu.Lock()
+	c := d.conns[addr][0]
+	d.mu.Unlock()
+	c.Close()
+}
+
 func waitFor(t *testing.T, timeout time.Duration, msg string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -316,10 +353,10 @@ func TestRouterTrunkRelay(t *testing.T) {
 	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
 	waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 
-	g, err := gateway.New(gateway.Config{
-		CollectorURL:      rsrv.TrunkURL(),
+	g, err := NewGateway(Config{
+		Shards:            []string{rsrv.TrunkURL()},
 		TrunkToken:        testTrunkToken,
-		GatewayID:         "gw-relay-test",
+		RouterID:          "gw-relay-test",
 		KeepAliveInterval: 50 * time.Millisecond,
 		BatchAge:          10 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
@@ -329,7 +366,7 @@ func TestRouterTrunkRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsrv, err := gateway.NewServer(g, "127.0.0.1:0", gateway.WithDrainGrace(time.Second))
+	gsrv, err := NewServer(g, "127.0.0.1:0", WithDrainGrace(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +431,11 @@ func TestRouterHealthLadder(t *testing.T) {
 	f := startShards(t, 2, nil, nil)
 	cfg := fastRouterConfig(f.trunkURLs())
 	cfg.TrunksPerShard = 2
-	// A long cooldown keeps broken trunks down for the duration of the
-	// middle rung instead of instantly redialing.
+	// A severed trunk's redials are refused, and with a threshold of one
+	// and a long cooldown its breaker keeps the slot down for the rest
+	// of the test.
+	dialer := &severableDialer{}
+	cfg.Dialer.NetDial = dialer.dial
 	cfg.BreakerThreshold = 1
 	cfg.BreakerCooldown = 30 * time.Second
 	r, rsrv := startRouter(t, cfg)
@@ -419,7 +459,7 @@ func TestRouterHealthLadder(t *testing.T) {
 		t.Fatalf("healthz with all trunks = %d %+v, want 200 ok with 2 shards", code, st)
 	}
 
-	r.pools[0].trunks[0].closeConn()
+	dialer.sever(f.srvs[0].Addr().String())
 	waitFor(t, 5*time.Second, "one trunk down", func() bool { return r.pools[0].healthyTrunks() == 1 })
 	if code, st := getHealth(); code != http.StatusOK || st.Status != "degraded" {
 		t.Fatalf("healthz with one trunk down = %d %+v, want 200 degraded", code, st)
@@ -632,5 +672,53 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 	}
 	if total != sessions {
 		t.Fatalf("merged summary impressions = %d, want %d", total, sessions)
+	}
+}
+
+// TestSessionQueueWatermarks pins the hysteresis contract: pushes stall
+// at the high watermark and resume only once drained to low.
+func TestSessionQueueWatermarks(t *testing.T) {
+	q := newSessionQueue(4, 1)
+	for i := 0; i < 4; i++ {
+		if !q.push([]byte{byte(i)}) {
+			t.Fatal("push refused below watermark")
+		}
+	}
+	blocked := make(chan bool, 1)
+	go func() { blocked <- q.push([]byte{99}) }()
+	select {
+	case <-blocked:
+		t.Fatal("push past high watermark did not stall")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// Draining one frame (len 3 > low) must not wake the pusher.
+	if f, ok := q.pop(); !ok || f[0] != 0 {
+		t.Fatalf("pop = %v %v", f, ok)
+	}
+	select {
+	case <-blocked:
+		t.Fatal("pusher woke before the low watermark")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// Draining to the low watermark releases it.
+	q.pop()
+	q.pop()
+	if ok := <-blocked; !ok {
+		t.Fatal("released push reported closed")
+	}
+	q.close()
+	// A closed queue still drains its backlog, then reports done.
+	got := 0
+	for {
+		if _, ok := q.pop(); !ok {
+			break
+		}
+		got++
+	}
+	if got != 2 { // frames 3 and 99 remained
+		t.Fatalf("drained %d frames after close, want 2", got)
+	}
+	if q.push([]byte{1}) {
+		t.Fatal("push succeeded on closed queue")
 	}
 }

@@ -26,15 +26,14 @@ type serverOptions struct {
 type ServerOption func(*serverOptions)
 
 // WithDrainGrace bounds how long Serve waits on shutdown for in-flight
-// sessions to commit and for every shard's spill buffer to empty
-// (default 5 s).
+// sessions to commit and for every spill buffer to empty (default 5 s).
 func WithDrainGrace(d time.Duration) ServerOption {
 	return func(o *serverOptions) { o.drainGrace = d }
 }
 
 // WithListener serves on ln instead of opening a fresh TCP listener
 // (addr is then ignored) — the hook the chaos tests use to put a
-// fault-injected accept path under the router's client leg.
+// fault-injected accept path under the client leg.
 func WithListener(ln net.Listener) ServerOption {
 	return func(o *serverOptions) { o.listener = ln }
 }
@@ -54,13 +53,13 @@ func WithLiveMerge(client *shardmerge.Client, cfg streamaudit.StaticConfig) Serv
 	}
 }
 
-// Server runs a Router behind an HTTP listener with the standard
-// operational sidecar: the beacon endpoint, the gateway trunk relay
-// endpoint, GET /healthz (per-shard trunk health, ok → degraded →
-// unhealthy), GET /metrics (Prometheus text), GET /api/metrics (JSON),
-// and optionally the merged /api/live/* views. It owns listener
-// lifecycle and graceful drain, so cmd/adrouter and the tests share one
-// serving path.
+// Server runs the engine behind an HTTP listener with the standard
+// operational sidecar: the beacon endpoint, GET /healthz (trunk health,
+// ok → degraded → unhealthy), GET /metrics (Prometheus text) and
+// GET /api/metrics (JSON). A router adds the gateway trunk relay
+// endpoint and optionally the merged /api/live/* views. The Server owns
+// listener lifecycle and graceful drain, so cmd/adrouter, cmd/adgateway
+// and the tests share one serving path.
 type Server struct {
 	rt      *Router
 	httpSrv *http.Server
@@ -81,17 +80,19 @@ func NewServer(r *Router, addr string, opts ...ServerOption) (*Server, error) {
 		var err error
 		ln, err = net.Listen("tcp", addr)
 		if err != nil {
-			return nil, fmt.Errorf("router: listening on %s: %w", addr, err)
+			return nil, fmt.Errorf("%s: listening on %s: %w", r.role.name, addr, err)
 		}
 	}
 	s := &Server{rt: r, ln: ln, opts: o, start: time.Now()}
 	mux := http.NewServeMux()
 	mux.Handle("/beacon", r)
-	mux.HandleFunc("/trunk", r.ServeTrunk)
+	if r.role.sharded {
+		mux.HandleFunc("/trunk", r.ServeTrunk)
+	}
 	mux.HandleFunc("/healthz", s.serveHealthz)
 	if reg := r.Telemetry(); reg != nil {
-		reg.GaugeFunc("adaudit_router_uptime_seconds",
-			"Time since the router server started.", nil,
+		reg.GaugeFunc("adaudit_"+r.role.name+"_uptime_seconds",
+			"Time since the server started.", nil,
 			func() float64 { return time.Since(s.start).Seconds() })
 		mux.Handle("/metrics", reg.Handler())
 		mux.Handle("/api/metrics", reg.JSONHandler())
@@ -108,12 +109,13 @@ func NewServer(r *Router, addr string, opts ...ServerOption) (*Server, error) {
 	return s, nil
 }
 
-// serveHealthz reports the sharded topology's degradation ladder: "ok"
-// with every trunk of every shard up, "degraded" while every shard is
-// still reachable on at least one trunk, "unhealthy" (503) when some
-// shard has no healthy trunk — that shard's slice of the keyspace is
-// spilling, and unlike a gateway's collector outage, no amount of
-// re-homing can move it, because ownership is the hash.
+// serveHealthz reports the degradation ladder: "ok" with every trunk
+// of every upstream up, "degraded" while every upstream is still
+// reachable on at least one trunk, "unhealthy" (503) when some upstream
+// has no healthy trunk and its slice of the keyspace is spilling.
+// Degraded stays 200: the engine is still doing its job, and flapping a
+// load balancer off a functioning node would convert a partial trunk
+// outage into real client loss.
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -209,16 +211,17 @@ func (s *Server) BeaconURL() string {
 	return fmt.Sprintf("ws://%s/beacon", s.ln.Addr().String())
 }
 
-// TrunkURL returns the ws:// URL gateways should trunk into.
+// TrunkURL returns the ws:// URL gateways should trunk into (router
+// role only).
 func (s *Server) TrunkURL() string {
 	return fmt.Sprintf("ws://%s/trunk", s.ln.Addr().String())
 }
 
 // Serve blocks serving requests until ctx is cancelled, then drains:
 // admission flips to shedding, open sessions are closed with the
-// resumable 1012 close code and a Retry-After hint, and every shard's
-// spill buffer is given until the drain grace to flush acked commits
-// into its shard before the trunk pools are torn down.
+// resumable 1012 close code and a Retry-After hint, and every spill
+// buffer is given until the drain grace to flush acked commits into its
+// collector before the trunk pools are torn down.
 func (s *Server) Serve(ctx context.Context) error {
 	errCh := make(chan error, 1)
 	go func() {
@@ -231,7 +234,7 @@ func (s *Server) Serve(ctx context.Context) error {
 		_ = s.httpSrv.Shutdown(shutdownCtx)
 		left := s.rt.Drain(s.opts.drainGrace)
 		if left > 0 {
-			s.rt.log.Warn("router: drain deadline hit with unflushed commits", "pending", left)
+			s.rt.log.Warn(s.rt.role.name+": drain deadline hit with unflushed commits", "pending", left)
 		}
 		_ = s.httpSrv.Close()
 		<-errCh
@@ -242,7 +245,7 @@ func (s *Server) Serve(ctx context.Context) error {
 		if errors.Is(err, http.ErrServerClosed) {
 			return nil
 		}
-		return fmt.Errorf("router: serving: %w", err)
+		return fmt.Errorf("%s: serving: %w", s.rt.role.name, err)
 	}
 }
 

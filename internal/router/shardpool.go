@@ -14,10 +14,10 @@ import (
 // trunkMaxMessage mirrors the collector's trunk batch bound.
 const trunkMaxMessage = 1 << 20
 
-// trunkDialTimeout bounds one shard trunk connection attempt.
+// trunkDialTimeout bounds one trunk connection attempt.
 const trunkDialTimeout = 5 * time.Second
 
-// shardPool is one shard's side of the router: a small pool of
+// shardPool is one upstream's side of the engine: a small pool of
 // persistent trunk connections to that shard's collector, plus the
 // spill buffer holding every commit hashed onto the shard until it
 // durably acks. Pools are independent — one shard's outage spills only
@@ -28,7 +28,7 @@ type shardPool struct {
 	r   *Router
 	id  int
 	url string
-	tel shardTelemetry
+	tel poolTelemetry
 
 	trunks []*trunkConn
 	// gen counts trunk topology changes within this pool; a spill entry
@@ -37,6 +37,9 @@ type shardPool struct {
 	// rr round-robins forwarders across the pool's healthy trunks.
 	rr atomic.Uint64
 
+	// spill holds every commit not yet acked, keyed by stream. Entries
+	// survive trunk failures and collector restarts; the replay loop is
+	// the only sender, so a commit cannot race its own retransmission.
 	spillMu    sync.Mutex
 	spill      map[uint64]*spillEntry
 	replayWake chan struct{}
@@ -60,7 +63,7 @@ func newShardPool(r *Router, id int, url string) *shardPool {
 		spill:      map[uint64]*spillEntry{},
 		replayWake: make(chan struct{}, 1),
 	}
-	p.tel = newShardTelemetry(r.reg, p)
+	p.tel = newPoolTelemetry(r, p)
 	for i := 0; i < r.cfg.TrunksPerShard; i++ {
 		p.trunks = append(p.trunks, &trunkConn{p: p, idx: i})
 	}
@@ -73,23 +76,29 @@ func (p *shardPool) spillPending() int {
 	return len(p.spill)
 }
 
-// spillCommit registers a commit for guaranteed delivery to this shard
-// and nudges the replay loop to send it now.
-func (p *shardPool) spillCommit(stream uint64, frame []byte) {
-	p.tel.commits.Add(1)
-	p.spillMu.Lock()
-	p.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
-	p.spillMu.Unlock()
+// wakeReplay nudges the replay loop to run now.
+func (p *shardPool) wakeReplay() {
 	select {
 	case p.replayWake <- struct{}{}:
 	default:
 	}
 }
 
+// spillCommit registers a commit for guaranteed delivery to this shard
+// and nudges the replay loop to send it now.
+func (p *shardPool) spillCommit(stream uint64, frame []byte) {
+	p.r.tel.commits.Add(1)
+	p.tel.commits.Add(1)
+	p.spillMu.Lock()
+	p.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
+	p.spillMu.Unlock()
+	p.wakeReplay()
+}
+
 // respillCommit re-registers a relayed commit only if its stream is not
 // already spilled — the fold for a gateway replay of a commit the
 // router still holds. No counter moves: the commit was counted when
-// first spilled, and if the stream just resolved in the races window
+// first spilled, and if the stream just resolved in the race window
 // the re-spilled frame is absorbed by the shard's dedup.
 func (p *shardPool) respillCommit(stream uint64, frame []byte) {
 	p.spillMu.Lock()
@@ -99,10 +108,7 @@ func (p *shardPool) respillCommit(stream uint64, frame []byte) {
 	}
 	p.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
 	p.spillMu.Unlock()
-	select {
-	case p.replayWake <- struct{}{}:
-	default:
-	}
+	p.wakeReplay()
 }
 
 // ackStream removes an acked commit from the spill buffer and resolves
@@ -131,10 +137,32 @@ func (p *shardPool) rejectStream(stream uint64, reason string) {
 	p.spillMu.Unlock()
 	if ok {
 		p.tel.rejects.Add(1)
-		p.r.log.Warn("router: shard rejected commit",
+		p.r.log.Warn(p.r.role.name+": collector rejected commit",
 			"shard", p.id, "stream", stream, "reason", reason)
 	}
 	p.r.relayResolve(stream, false, reason)
+}
+
+// forwardLoop drains one session's queue onto the pool's healthy
+// trunks. Advisory frames are droppable: with no healthy trunk they are
+// discarded, since the accounting state travels self-contained in the
+// commit. The session pins itself to one trunk while it stays healthy,
+// so its Open and Events arrive in order on one connection — load still
+// spreads because each session picks its own.
+func (p *shardPool) forwardLoop(q *sessionQueue) {
+	var t *trunkConn
+	for {
+		frame, ok := q.pop()
+		if !ok {
+			return
+		}
+		if t == nil || !t.isHealthy() {
+			t = p.pickTrunk()
+		}
+		if t == nil || !t.enqueue(frame) {
+			p.tel.queueDrops.Add(1)
+		}
+	}
 }
 
 // pickTrunk returns a healthy trunk of this pool, round-robin, or nil.
@@ -165,8 +193,8 @@ func (p *shardPool) healthyTrunks() int {
 // entries immediately (woken by spillCommit and trunk attach) and
 // re-sends entries whose trunk died or whose ack timed out. One sender
 // per pool means a commit can never race its own retransmission onto
-// two trunks; the shard's stream dedup and the collector nonce dedup
-// absorb the replays a lost ack still forces.
+// two trunks; the collector's stream and nonce dedup absorb the replays
+// a lost ack still forces.
 func (p *shardPool) replayLoop() {
 	r := p.r
 	defer r.runnersWG.Done()
@@ -184,10 +212,9 @@ func (p *shardPool) replayLoop() {
 }
 
 // replayPending sends every due spill entry over a healthy trunk of
-// this pool: never sent, sent under an older pool generation, or
-// unacked past AckTimeout.
+// this pool: never sent, sent under an older pool generation (its trunk
+// may have died with the ack in flight), or unacked past AckTimeout.
 func (p *shardPool) replayPending() {
-	r := p.r
 	t := p.pickTrunk()
 	if t == nil {
 		return
@@ -201,7 +228,7 @@ func (p *shardPool) replayPending() {
 	var due []item
 	p.spillMu.Lock()
 	for s, e := range p.spill {
-		if e.sentGen != gen || now.Sub(e.sentAt) > r.cfg.AckTimeout {
+		if e.sentGen != gen || now.Sub(e.sentAt) > p.r.cfg.AckTimeout {
 			due = append(due, item{s, e})
 		}
 	}
@@ -232,10 +259,10 @@ func (p *shardPool) replayPending() {
 }
 
 // trunkConn is one slot in a shard's trunk pool: a WebSocket to the
-// shard collector's /trunk endpoint carrying batched frames for every
-// session hashed onto that shard. Each slot runs its own dial/read
-// lifecycle with a circuit breaker, so a dead shard costs bounded
-// probing, not a dial storm.
+// collector's /trunk endpoint carrying batched frames for every session
+// hashed onto that shard. Each slot runs its own dial/read lifecycle
+// with a circuit breaker, so a dead collector costs bounded probing,
+// not a dial storm.
 type trunkConn struct {
 	p   *shardPool
 	idx int
@@ -271,11 +298,14 @@ func (t *trunkConn) run() {
 		}
 		if t.fails >= r.cfg.BreakerThreshold {
 			// Breaker open: wait out the cooldown, then the next dial is
-			// the half-open probe.
+			// the half-open probe. Success closes the breaker (fails
+			// resets); failure re-opens it for another cooldown.
 			if !sleepOrStop(r.stopCh, r.cfg.BreakerCooldown) {
 				return
 			}
 		} else if t.fails > 0 {
+			// Below the threshold, space retries briefly so a transient
+			// blip does not burn the whole failure budget at once.
 			if !sleepOrStop(r.stopCh, r.cfg.BreakerCooldown/4) {
 				return
 			}
@@ -285,7 +315,7 @@ func (t *trunkConn) run() {
 			t.fails++
 			if t.fails == r.cfg.BreakerThreshold {
 				t.p.tel.breakerOpens.Add(1)
-				r.log.Warn("router: shard trunk breaker opened",
+				r.log.Warn(r.role.name+": trunk breaker opened",
 					"shard", t.p.id, "trunk", t.idx, "fails", t.fails, "err", err)
 			}
 			continue
@@ -310,9 +340,9 @@ func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
 	}
 }
 
-// dial opens the shard trunk connection and performs the Hello
-// exchange. The router speaks the same trunk protocol a gateway does:
-// to its shards, the router is just a very large gateway.
+// dial opens the trunk connection and performs the Hello exchange. A
+// router speaks the same trunk protocol a gateway does: to its shards,
+// the router is just a very large gateway.
 func (t *trunkConn) dial() (*wsproto.Conn, error) {
 	r := t.p.r
 	d := r.cfg.Dialer
@@ -331,6 +361,7 @@ func (t *trunkConn) dial() (*wsproto.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Ack/reject batches are fully decoded before the next read.
 	conn.ReuseReadBuffer()
 	hello := trunk.AppendFrame(nil, trunk.Frame{
 		Type: trunk.Hello, Version: trunk.Version, GatewayID: r.cfg.RouterID,
@@ -354,17 +385,15 @@ func (t *trunkConn) attach(conn *wsproto.Conn) {
 	t.mu.Unlock()
 	p.tel.trunksHealthy.Add(1)
 	p.gen.Add(1)
-	select {
-	case p.replayWake <- struct{}{}:
-	default:
-	}
-	p.r.log.Info("router: shard trunk established",
+	p.wakeReplay()
+	p.r.log.Info(p.r.role.name+": trunk established",
 		"shard", p.id, "trunk", t.idx, "collector", p.url)
 }
 
 // detach withdraws a dead connection. The generation bump makes the
 // pool's replay loop re-send every commit whose ack may have died with
-// this trunk, onto whichever of the shard's trunks is healthy.
+// this trunk, onto whichever of the shard's trunks is healthy — no
+// per-session state moves, because commits are self-contained.
 func (t *trunkConn) detach(conn *wsproto.Conn) {
 	p := t.p
 	t.mu.Lock()
@@ -378,12 +407,13 @@ func (t *trunkConn) detach(conn *wsproto.Conn) {
 		p.tel.trunksHealthy.Add(-1)
 	}
 	p.gen.Add(1)
-	p.r.log.Warn("router: shard trunk lost", "shard", p.id, "trunk", t.idx)
+	p.r.log.Warn(p.r.role.name+": trunk lost", "shard", p.id, "trunk", t.idx)
 }
 
-// reader consumes shard replies (acks and rejects) and runs the trunk's
-// keepalive until the connection dies. It also hosts the age-based
-// batch flusher.
+// reader consumes collector replies (acks and rejects) and runs the
+// trunk's keepalive until the connection dies. It also hosts the
+// age-based batch flusher, so a trickle of frames below the size
+// threshold still leaves within BatchAge.
 func (t *trunkConn) reader(conn *wsproto.Conn) {
 	r := t.p.r
 	stop := make(chan struct{})
@@ -398,22 +428,11 @@ func (t *trunkConn) reader(conn *wsproto.Conn) {
 	renewDeadline()
 	if ka := r.cfg.KeepAliveInterval; ka > 0 {
 		go func() {
-			tick := time.NewTicker(ka)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-					err := conn.Ping(nil)
-					_ = conn.SetWriteDeadline(time.Time{})
-					if err != nil {
-						_ = conn.NetConn().Close()
-						return
-					}
-				}
-			}
+			keepAlive(conn, ka, stop)
+			// A failed ping means a dead peer: closing the transport
+			// wakes the read below. After stop the connection is being
+			// torn down anyway.
+			_ = conn.NetConn().Close()
 		}()
 	}
 	go func() {
@@ -444,7 +463,7 @@ func (t *trunkConn) reader(conn *wsproto.Conn) {
 		}
 		frames, err := trunk.DecodeBatch(msg)
 		if err != nil {
-			r.log.Warn("router: malformed shard trunk reply",
+			r.log.Warn(r.role.name+": malformed trunk reply",
 				"shard", t.p.id, "trunk", t.idx, "err", err)
 			return
 		}
@@ -463,7 +482,6 @@ func (t *trunkConn) reader(conn *wsproto.Conn) {
 // flushing when the size threshold is reached. Reports false when the
 // trunk is down (the caller re-homes within the pool or drops).
 func (t *trunkConn) enqueue(frame []byte) bool {
-	r := t.p.r
 	t.mu.Lock()
 	if !t.healthy || t.conn == nil {
 		t.mu.Unlock()
@@ -475,7 +493,7 @@ func (t *trunkConn) enqueue(frame []byte) bool {
 	t.buf = append(t.buf, frame...)
 	var out []byte
 	var conn *wsproto.Conn
-	if len(t.buf) >= r.cfg.BatchBytes {
+	if len(t.buf) >= t.p.r.cfg.BatchBytes {
 		out, t.buf = t.buf, nil
 		conn = t.conn
 	}
@@ -539,8 +557,8 @@ func (t *trunkConn) closeConn() {
 // sessionQueue is a bounded frame queue between one session's read loop
 // and its forwarder, with watermark hysteresis: pushes stall at the
 // high watermark and resume only once the forwarder has drained the
-// queue to the low watermark, so a slow shard throttles the client's
-// TCP window instead of growing router memory.
+// queue to the low watermark, so a slow trunk throttles the client's
+// TCP window instead of growing memory.
 type sessionQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -578,7 +596,9 @@ func (q *sessionQueue) push(frame []byte) bool {
 }
 
 // pop removes the oldest frame, blocking until one is available or the
-// queue is closed and empty (ok == false). A closed queue still drains.
+// queue is closed and empty (ok == false). A closed queue still drains:
+// the forwarder finishes in-flight advisory frames before the session
+// builds its commit.
 func (q *sessionQueue) pop() ([]byte, bool) {
 	q.mu.Lock()
 	for len(q.frames) == 0 && !q.closed {

@@ -6,9 +6,10 @@ import (
 	"adaudit/internal/telemetry"
 )
 
-// routerTelemetry bundles the router-level instruments (no shard
-// dimension). All fields are nil-safe.
-type routerTelemetry struct {
+// engineTelemetry bundles the engine-level instruments (no shard
+// dimension). All fields are nil-safe. Families are named
+// adaudit_<role>_*.
+type engineTelemetry struct {
 	connections    *telemetry.Counter
 	sessionsActive *telemetry.Gauge
 	sheds          *telemetry.CounterVec
@@ -19,39 +20,47 @@ type routerTelemetry struct {
 	relayDrops     *telemetry.Counter
 }
 
-func newRouterTelemetry(reg *telemetry.Registry, r *Router) routerTelemetry {
-	tel := routerTelemetry{
-		connections: reg.Counter("adaudit_router_connections_total",
-			"Beacon WebSocket connections accepted at the router.", nil),
-		sessionsActive: reg.Gauge("adaudit_router_sessions_active",
-			"Beacon sessions and gateway trunks currently open on this router.", nil),
-		sheds: reg.CounterVec("adaudit_router_sheds_total",
+func newEngineTelemetry(r *Router) engineTelemetry {
+	reg, pre := r.reg, "adaudit_"+r.role.name+"_"
+	tel := engineTelemetry{
+		connections: reg.Counter(pre+"connections_total",
+			"Beacon WebSocket connections accepted.", nil),
+		sessionsActive: reg.Gauge(pre+"sessions_active",
+			"Beacon sessions and gateway trunks currently open.", nil),
+		sheds: reg.CounterVec(pre+"sheds_total",
 			"Beacon requests refused at admission, by reason.", "reason"),
-		events: reg.Counter("adaudit_router_events_total",
+		events: reg.Counter(pre+"events_total",
 			"Interaction updates received from beacon sessions.", nil),
-		commits: reg.Counter("adaudit_router_commits_total",
-			"Session commits handed to a shard's spill/forward pipeline.", nil),
-		relayTrunks: reg.Gauge("adaudit_router_relay_trunks_active",
-			"Gateway trunk connections currently terminated on this router.", nil),
-		relayFrames: reg.CounterVec("adaudit_router_relay_frames_total",
-			"Trunk frames relayed from gateways onto shards, by frame type.", "type"),
-		relayDrops: reg.Counter("adaudit_router_relay_drops_total",
-			"Relayed advisory frames dropped for an unknown or shardless stream.", nil),
+		commits: reg.Counter(pre+"commits_total",
+			"Session commits handed to the spill/forward pipeline.", nil),
 	}
-	reg.GaugeFunc("adaudit_router_shards_total",
+	reg.GaugeFunc(pre+"spill_pending",
+		"Commits awaiting collector acknowledgement, summed over all shards.", nil,
+		func() float64 { return float64(r.spillPending()) })
+	if !r.role.sharded {
+		reg.GaugeFunc(pre+"trunks_total",
+			"Configured trunk pool size.", nil,
+			func() float64 { return float64(r.cfg.TrunksPerShard) })
+		return tel
+	}
+	tel.relayTrunks = reg.Gauge(pre+"relay_trunks_active",
+		"Gateway trunk connections currently terminated on this router.", nil)
+	tel.relayFrames = reg.CounterVec(pre+"relay_frames_total",
+		"Trunk frames relayed from gateways onto shards, by frame type.", "type")
+	tel.relayDrops = reg.Counter(pre+"relay_drops_total",
+		"Relayed advisory frames dropped for an unknown or shardless stream.", nil)
+	reg.GaugeFunc(pre+"shards_total",
 		"Configured collector shard count.", nil,
 		func() float64 { return float64(len(r.cfg.Shards)) })
-	reg.GaugeFunc("adaudit_router_spill_pending",
-		"Commits awaiting shard acknowledgement, summed over all shards.", nil,
-		func() float64 { return float64(r.spillPending()) })
 	return tel
 }
 
-// shardTelemetry bundles one shard pool's instruments. Every series
-// carries a shard_id label, so the same metric name fans out into one
-// series per shard — a dashboard can spot a hot or dead shard without
-// per-shard scrape targets.
-type shardTelemetry struct {
+// poolTelemetry bundles one shard pool's instruments. A router names
+// them adaudit_router_shard_* with a shard_id label, so the same metric
+// fans out into one series per shard and a dashboard can spot a hot or
+// dead shard without per-shard scrape targets. A gateway's one pool
+// uses its unlabelled adaudit_gateway_* names instead.
+type poolTelemetry struct {
 	commits       *telemetry.Counter
 	acks          *telemetry.Counter
 	rejects       *telemetry.Counter
@@ -64,34 +73,44 @@ type shardTelemetry struct {
 	batchBytes    *telemetry.Histogram
 }
 
-func newShardTelemetry(reg *telemetry.Registry, p *shardPool) shardTelemetry {
-	lbl := map[string]string{"shard_id": strconv.Itoa(p.id)}
-	tel := shardTelemetry{
-		commits: reg.Counter("adaudit_router_shard_commits_total",
-			"Commits routed onto this shard.", lbl),
-		acks: reg.Counter("adaudit_router_shard_acks_total",
-			"Commits acknowledged by this shard.", lbl),
-		rejects: reg.Counter("adaudit_router_shard_rejected_total",
-			"Commits this shard rejected permanently.", lbl),
-		replays: reg.Counter("adaudit_router_shard_replays_total",
+func newPoolTelemetry(r *Router, p *shardPool) poolTelemetry {
+	reg, pre := r.reg, "adaudit_"+r.role.name+"_"
+	var lbl map[string]string
+	if r.role.sharded {
+		pre += "shard_"
+		lbl = map[string]string{"shard_id": strconv.Itoa(p.id)}
+	}
+	tel := poolTelemetry{
+		acks: reg.Counter(pre+"acks_total",
+			"Commits acknowledged by the collector.", lbl),
+		rejects: reg.Counter(pre+"rejected_total",
+			"Commits the collector rejected permanently.", lbl),
+		replays: reg.Counter(pre+"replays_total",
 			"Commit retransmissions after a trunk change or ack timeout.", lbl),
-		queueDrops: reg.Counter("adaudit_router_shard_queue_drops_total",
-			"Advisory frames dropped with no healthy trunk to this shard.", lbl),
-		breakerOpens: reg.Counter("adaudit_router_shard_breaker_opens_total",
-			"Trunk circuit-breaker openings toward this shard.", lbl),
-		trunkBatches: reg.Counter("adaudit_router_shard_trunk_batches_total",
-			"Batch messages written to this shard's trunks.", lbl),
-		trunksHealthy: reg.Gauge("adaudit_router_shard_trunks_healthy",
-			"Trunk connections currently established to this shard.", lbl),
-		forward: reg.Histogram("adaudit_router_shard_forward_seconds",
-			"Commit-to-shard-ack latency, spill time included.",
+		queueDrops: reg.Counter(pre+"queue_drops_total",
+			"Advisory frames dropped with no healthy trunk available.", lbl),
+		breakerOpens: reg.Counter(pre+"breaker_opens_total",
+			"Trunk circuit-breaker openings.", lbl),
+		trunkBatches: reg.Counter(pre+"trunk_batches_total",
+			"Batch messages written to trunks.", lbl),
+		trunksHealthy: reg.Gauge(pre+"trunks_healthy",
+			"Trunk connections currently established.", lbl),
+		forward: reg.Histogram(pre+"forward_seconds",
+			"Commit-to-collector-ack latency, spill time included.",
 			telemetry.LatencyBuckets(), lbl),
-		batchBytes: reg.Histogram("adaudit_router_shard_batch_bytes",
+		batchBytes: reg.Histogram(pre+"batch_bytes",
 			"Trunk batch sizes at flush.",
 			[]float64{256, 1024, 4096, 16384, 65536, 262144}, lbl),
 	}
-	reg.GaugeFunc("adaudit_router_shard_spill_pending",
-		"Commits awaiting this shard's acknowledgement.", lbl,
-		func() float64 { return float64(p.spillPending()) })
+	// Per-shard breakdowns of the engine's commit and spill totals. A
+	// gateway's one unlabelled pool would share the engine's series and
+	// count every commit twice.
+	if r.role.sharded {
+		tel.commits = reg.Counter(pre+"commits_total",
+			"Commits routed onto this shard.", lbl)
+		reg.GaugeFunc(pre+"spill_pending",
+			"Commits awaiting this shard's acknowledgement.", lbl,
+			func() float64 { return float64(p.spillPending()) })
+	}
 	return tel
 }

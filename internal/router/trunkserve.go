@@ -17,7 +17,7 @@ import (
 // gatewayID/stream at the router level — not per connection — because a
 // gateway round-robins frames over its trunk pool, so a stream's Open
 // and Event may arrive on different connections. Commit removes the
-// record; the two-generation cache in Router bounds leftovers from
+// record; the two-generation map in Router bounds leftovers from
 // gateways that die without committing.
 type relayOpen struct {
 	stream uint64
@@ -31,11 +31,7 @@ const relayOpenLimit = 1 << 16
 // relayRecordOpen remembers the route fixed for one origin stream.
 func (r *Router) relayRecordOpen(key string, ro relayOpen) {
 	r.opensMu.Lock()
-	if len(r.opensCur) >= relayOpenLimit {
-		r.opensPrev = r.opensCur
-		r.opensCur = make(map[string]relayOpen, relayOpenLimit/4)
-	}
-	r.opensCur[key] = ro
+	r.opens.Put(key, ro)
 	r.opensMu.Unlock()
 }
 
@@ -43,11 +39,7 @@ func (r *Router) relayRecordOpen(key string, ro relayOpen) {
 func (r *Router) relayLookupOpen(key string) (relayOpen, bool) {
 	r.opensMu.Lock()
 	defer r.opensMu.Unlock()
-	if ro, ok := r.opensCur[key]; ok {
-		return ro, true
-	}
-	ro, ok := r.opensPrev[key]
-	return ro, ok
+	return r.opens.Peek(key)
 }
 
 // relayTakeOpen removes and returns the recorded route — called by the
@@ -55,15 +47,9 @@ func (r *Router) relayLookupOpen(key string) (relayOpen, bool) {
 func (r *Router) relayTakeOpen(key string) (relayOpen, bool) {
 	r.opensMu.Lock()
 	defer r.opensMu.Unlock()
-	if ro, ok := r.opensCur[key]; ok {
-		delete(r.opensCur, key)
-		return ro, true
-	}
-	if ro, ok := r.opensPrev[key]; ok {
-		delete(r.opensPrev, key)
-		return ro, true
-	}
-	return relayOpen{}, false
+	ro, ok := r.opens.Peek(key)
+	r.opens.Delete(key)
+	return ro, ok
 }
 
 // ServeTrunk terminates one gateway trunk connection on the router: the
@@ -92,15 +78,14 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 		r.log.Debug("router: trunk handshake rejected", "err", err, "remote", req.RemoteAddr)
 		return
 	}
-	if r.draining.Load() {
-		_ = conn.Close(wsproto.CloseGoingAway, "router shutting down")
-		return
-	}
 	conn.ReuseReadBuffer()
 	// Relayed trunks ride the same session tracking as beacon
 	// connections, so Drain tears them down too: the gateway spills
 	// unacked commits and replays them against another router.
-	r.trackSession(conn)
+	if !r.trackSession(conn) {
+		_ = conn.Close(wsproto.CloseGoingAway, "router shutting down")
+		return
+	}
 	defer r.untrackSession(conn)
 	r.tel.relayTrunks.Add(1)
 	defer r.tel.relayTrunks.Add(-1)
@@ -249,7 +234,6 @@ func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
 	if replayed {
 		r.pools[shard].respillCommit(rs, frame)
 	} else {
-		r.tel.commits.Add(1)
 		r.pools[shard].spillCommit(rs, frame)
 	}
 	return reply

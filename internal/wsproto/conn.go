@@ -209,6 +209,12 @@ func (c *Conn) Close(code CloseCode, reason string) error {
 	if writeErr != nil {
 		return writeErr
 	}
+	if errors.Is(closeErr, net.ErrClosed) {
+		// The read side drops the transport when the peer's close frame
+		// arrives, which can land between our close frame and this call:
+		// the handshake completed, so that is not a failed close.
+		return nil
+	}
 	return closeErr
 }
 
